@@ -95,8 +95,10 @@ serve-smoke: build
 
 # Observability smoke test: a short serve run with tracing and telemetry
 # enabled must produce a validating Chrome trace (well-formed JSON,
-# monotone timestamps, tenant/job context on every event) and a
-# telemetry snapshot that `tensorir top` can render.
+# monotone timestamps, tenant/job context on every event) that
+# `tensorir report` can summarize, and a telemetry snapshot that
+# `tensorir top` can render. A traced tune must produce a validating
+# trace whose report shows a non-empty, monotone search summary.
 trace-smoke: build
 	rm -rf /tmp/tir_trace_smoke
 	dune exec bin/tensorir_cli.exe -- submit --queue /tmp/tir_trace_smoke \
@@ -105,8 +107,17 @@ trace-smoke: build
 	  --drain --trace-out /tmp/tir_trace_smoke/trace.json \
 	  --telemetry-out /tmp/tir_trace_smoke/telemetry.prom
 	dune exec tools/validate_trace.exe /tmp/tir_trace_smoke/trace.json
+	dune exec bin/tensorir_cli.exe -- report /tmp/tir_trace_smoke/trace.json \
+	  | grep -q "^summary: [1-9][0-9]* generation"
 	dune exec bin/tensorir_cli.exe -- top /tmp/tir_trace_smoke/telemetry.prom \
 	  | grep -q "queue:"
+	dune exec bin/tensorir_cli.exe -- tune GMM --trials 16 \
+	  --trace-out /tmp/tir_trace_smoke/tune.json
+	dune exec tools/validate_trace.exe /tmp/tir_trace_smoke/tune.json
+	dune exec bin/tensorir_cli.exe -- report /tmp/tir_trace_smoke/tune.json \
+	  > /tmp/tir_trace_smoke/report.txt
+	grep -q "^summary: [1-9][0-9]* generation" /tmp/tir_trace_smoke/report.txt
+	grep -q "best-so-far monotone: true" /tmp/tir_trace_smoke/report.txt
 	rm -rf /tmp/tir_trace_smoke
 
 # Semantic static analysis (data races, region soundness, bounds) over
@@ -116,19 +127,26 @@ lint: build
 
 # Legality prover smoke test through the lint JSON interface: the example
 # scripts must produce a clean machine-readable report (no error
-# diagnostics, no non-advisory illegal item), and the known-illegal
-# fixture (parallel reduction race + loop-reversing dependence) must exit
-# non-zero with an illegal parallel item and an illegal reorder advisory,
-# each naming its loop and block.
+# diagnostics, no non-advisory illegal item), also for a script whose
+# file name holds a tab (the report must stay valid JSON), and the
+# known-illegal fixture (parallel reduction race + loop-reversing
+# dependence) must exit non-zero with an illegal parallel item and an
+# illegal reorder advisory, each naming its loop and block.
 legality-smoke: build
 	dune exec bin/tensorir_cli.exe -- lint --json examples/*.tir \
 	  > /tmp/tir_lint_clean.json
 	dune exec tools/validate_lint.exe -- --clean /tmp/tir_lint_clean.json
+	rm -rf /tmp/tir_lint_tab && mkdir -p /tmp/tir_lint_tab
+	tab="$$(printf '/tmp/tir_lint_tab/tab\tname.tir')" && \
+	  cp examples/gmm.tir "$$tab" && \
+	  dune exec bin/tensorir_cli.exe -- lint --json "$$tab" \
+	  > /tmp/tir_lint_tab/report.json
+	dune exec tools/validate_lint.exe -- --clean /tmp/tir_lint_tab/report.json
 	! dune exec bin/tensorir_cli.exe -- lint --json \
 	  test/fixtures/illegal_mix.tir > /tmp/tir_lint_illegal.json
 	dune exec tools/validate_lint.exe -- --expect-illegal \
 	  /tmp/tir_lint_illegal.json
-	rm -f /tmp/tir_lint_clean.json /tmp/tir_lint_illegal.json
+	rm -rf /tmp/tir_lint_clean.json /tmp/tir_lint_illegal.json /tmp/tir_lint_tab
 
 # The full pre-merge gate: build, unit + property tests, lint, bench smoke
 # run (+ the regression diff against the committed snapshot),

@@ -46,6 +46,7 @@ module Target = Tir_sim.Target
 module Clock = Tir_obs.Clock
 module Metrics = Tir_obs.Metrics
 module Trace = Tir_obs.Trace
+module Json_min = Tir_obs.Json_min
 
 let () = Tir_intrin.Library.register_all ()
 
@@ -141,18 +142,6 @@ type costmodel_headline = {
 
 let costmodel_headline : costmodel_headline option ref = ref None
 
-let json_escape s =
-  let b = Stdlib.Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Stdlib.Buffer.add_string b "\\\""
-      | '\\' -> Stdlib.Buffer.add_string b "\\\\"
-      | '\n' -> Stdlib.Buffer.add_string b "\\n"
-      | c -> Stdlib.Buffer.add_char b c)
-    s;
-  Stdlib.Buffer.contents b
-
 (* JSON has no NaN/Infinity literals; emit them as null so the file always
    parses (the --check gate reports them separately). *)
 let json_float v =
@@ -198,12 +187,12 @@ let emit_json ~total_wall_s path =
           Printf.fprintf oc
             "%s\n      {\"name\": \"%s\", \"proposals\": %d, \"unique\": %d, \"legacy_cands_per_s\": %s, \"candidates_per_s\": %s, \"tally\": {"
             (if i = 0 then "" else ",")
-            (json_escape s.hs_name) s.hs_props s.hs_unique
+            (Json_min.escape s.hs_name) s.hs_props s.hs_unique
             (json_float s.hs_legacy_cps) (json_float s.hs_opt_cps);
           List.iteri
             (fun j (k, v) ->
               Printf.fprintf oc "%s\"%s\": %d" (if j = 0 then "" else ", ")
-                (json_escape k) v)
+                (Json_min.escape k) v)
             s.hs_tally;
           Printf.fprintf oc "}}")
         hp.hp_sketches;
@@ -211,7 +200,7 @@ let emit_json ~total_wall_s path =
       List.iteri
         (fun i (k, v) ->
           Printf.fprintf oc "%s\"%s\": %s" (if i = 0 then "" else ", ")
-            (json_escape k) (json_float v))
+            (Json_min.escape k) (json_float v))
         hp.hp_stages_ns;
       let ah, am = hp.hp_apply_cache in
       Printf.fprintf oc
@@ -227,7 +216,7 @@ let emit_json ~total_wall_s path =
       List.iteri
         (fun i (k, n) ->
           Printf.fprintf oc "%s\"%s\": %d" (if i = 0 then "" else ", ")
-            (json_escape k) n)
+            (Json_min.escape k) n)
         lg.lg_survey;
       Printf.fprintf oc "},\n    \"agreement\": %s,\n"
         (json_float lg.lg_agreement);
@@ -348,12 +337,12 @@ let emit_json ~total_wall_s path =
   Printf.fprintf oc "  \"metrics\": {\n    \"counters\": {";
   List.iteri
     (fun i (name, v) ->
-      Printf.fprintf oc "%s\"%s\": %d" (if i = 0 then "" else ", ") (json_escape name) v)
+      Printf.fprintf oc "%s\"%s\": %d" (if i = 0 then "" else ", ") (Json_min.escape name) v)
     snap.Metrics.counters;
   Printf.fprintf oc "},\n    \"gauges\": {";
   List.iteri
     (fun i (name, v) ->
-      Printf.fprintf oc "%s\"%s\": %s" (if i = 0 then "" else ", ") (json_escape name)
+      Printf.fprintf oc "%s\"%s\": %s" (if i = 0 then "" else ", ") (Json_min.escape name)
         (json_float v))
     snap.Metrics.gauges;
   Printf.fprintf oc "},\n    \"histograms\": {";
@@ -361,7 +350,7 @@ let emit_json ~total_wall_s path =
     (fun i (name, (h : Metrics.hist_snapshot)) ->
       Printf.fprintf oc "%s\"%s\": {\"total\": %d, \"counts\": ["
         (if i = 0 then "" else ", ")
-        (json_escape name) h.Metrics.total;
+        (Json_min.escape name) h.Metrics.total;
       Array.iteri
         (fun j c -> Printf.fprintf oc "%s%d" (if j = 0 then "" else ", ") c)
         h.Metrics.counts;
@@ -372,14 +361,14 @@ let emit_json ~total_wall_s path =
     (fun i (name, wall) ->
       Printf.fprintf oc "%s\n    {\"name\": \"%s\", \"wall_s\": %s}"
         (if i = 0 then "" else ",")
-        (json_escape name) (json_float wall))
+        (Json_min.escape name) (json_float wall))
     (List.rev !section_walls);
   Printf.fprintf oc "\n  ],\n  \"results\": [";
   List.iteri
     (fun i (section, name, value, unit_) ->
       Printf.fprintf oc "%s\n    {\"section\": \"%s\", \"name\": \"%s\", \"value\": %s, \"unit\": \"%s\"}"
         (if i = 0 then "" else ",")
-        (json_escape section) (json_escape name) (json_float value) (json_escape unit_))
+        (Json_min.escape section) (Json_min.escape name) (json_float value) (Json_min.escape unit_))
     (List.rev !results);
   Printf.fprintf oc "\n  ]\n}\n";
   close_out oc

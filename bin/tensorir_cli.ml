@@ -5,8 +5,9 @@
      tensorir tune <workload> [opts]      auto-schedule and report
      tensorir model <name> [opts]         end-to-end model compilation report
      tensorir intrinsics                  list registered tensor intrinsics
-     tensorir report <journal>            render a tuning journal (spans,
-                                          metrics, search summary)
+     tensorir report <trace>              summarize a Chrome trace from
+                                          tune/serve --trace-out (spans,
+                                          generations, metrics)
      tensorir lint [targets] [--all]      semantic static analysis (races,
                                           region soundness, bounds)
      tensorir session <status|compact>    inspect / compact a session log
@@ -131,12 +132,38 @@ let candidates_cmd =
 
 (* --- tune --- *)
 
+(* Run [f] traced inside the job context "tune", then record the final
+   registry counters and gauges as trace counters (args [metric]) and
+   write the Chrome trace to [path] — also when [f] raises, so a halted
+   session leaves its trace behind. *)
+let traced ~path f =
+  let module T = Tir_obs.Trace in
+  let module M = Tir_obs.Metrics in
+  T.enable ();
+  let in_ctx g = T.with_ctx ~job:"tune" g in
+  let write () =
+    in_ctx (fun () ->
+        let snap = M.snapshot () in
+        List.iter
+          (fun (n, v) -> T.counter ~args:[ ("metric", "counter") ] n (float_of_int v))
+          snap.M.counters;
+        List.iter (fun (n, v) -> T.counter ~args:[ ("metric", "gauge") ] n v) snap.M.gauges);
+    try Out_channel.with_open_bin path (fun oc -> output_string oc (T.export_chrome ()))
+    with Sys_error msg -> Error.raise_error ~context:path Error.Io msg
+  in
+  match in_ctx f with
+  | r ->
+      write ();
+      r
+  | exception e ->
+      write ();
+      raise e
+
 let tune_cmd =
-  let run tag target trials seed print_best db_path journal_path session_path
+  let run tag target trials seed print_best db_path trace_out session_path
       resume halt_after jobs model_store =
     with_errors @@ fun () ->
     let database = Option.map load_database db_path in
-    let journal = Option.map Tir_obs.Journal.open_file journal_path in
     (* Warm-start from the model store when it exists; a fresh or corrupt
        store is a cold start, never an error. *)
     let model =
@@ -145,31 +172,22 @@ let tune_cmd =
           Tir_autosched.Model.Warm (Tir_autosched.Model.save m)
       | Some None | None -> Tune.Config.default.Tune.Config.model
     in
+    let cfg = Tune.Config.{ default with seed; trials; database; jobs; model } in
+    let tune () =
+      match session_path with
+      | None ->
+          let t, w = workload_for target tag in
+          Tune.run cfg w t
+      | Some path when resume ->
+          (* Workload, target, seed, trial budget and model spec come
+             from the session log; the positional args are ignored. *)
+          Session.run ?halt_after (Session.resume ?jobs ?database ~path ())
+      | Some path ->
+          let t, w = workload_for target tag in
+          Session.run ?halt_after (Session.create ~path cfg w t)
+    in
     let r =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Tir_obs.Journal.close journal)
-        (fun () ->
-          match session_path with
-          | None ->
-              let t, w = workload_for target tag in
-              let cfg =
-                Tune.Config.
-                  { default with seed; trials; database; journal; jobs; model }
-              in
-              Tune.run cfg w t
-          | Some path when resume ->
-              (* Workload, target, seed, trial budget and model spec come
-                 from the session log; the positional args are ignored. *)
-              let s = Session.resume ?jobs ?journal ?database ~path () in
-              Session.run ?halt_after s
-          | Some path ->
-              let t, w = workload_for target tag in
-              let cfg =
-                Tune.Config.
-                  { default with seed; trials; database; journal; jobs; model }
-              in
-              let s = Session.create ~path cfg w t in
-              Session.run ?halt_after s)
+      match trace_out with None -> tune () | Some path -> traced ~path tune
     in
     let t = r.Tune.target and w = r.Tune.workload in
     Option.iter
@@ -182,8 +200,8 @@ let tune_cmd =
         Fmt.pr "model store updated: %s@." path
     | _ -> ());
     Option.iter
-      (fun p -> Fmt.pr "journal written to %s (render with `tensorir report %s`)@." p p)
-      journal_path;
+      (fun p -> Fmt.pr "trace written to %s (summarize with `tensorir report %s`)@." p p)
+      trace_out;
     Fmt.pr "workload: %s on %s@." w.W.name t.Tir_sim.Target.name;
     Fmt.pr "best latency: %.2f us (%.0f GFLOPS)@." (Tune.latency_us r) (Tune.gflops r);
     Fmt.pr "search: %d trials, %d proposed, %d invalid, %d unsound, %d inapplicable, %d unmeasurable@."
@@ -206,12 +224,13 @@ let tune_cmd =
     let doc = "Tuning-record database file: replay stored schedules, save new ones." in
     Arg.(value & opt (some string) None & info [ "db" ] ~docv:"FILE" ~doc)
   in
-  let journal_arg =
+  let trace_arg =
     let doc =
-      "Write the run's search journal (JSONL events: generations, \
-       predicted-vs-measured pairs, spans, metrics) to $(docv)."
+      "Trace the run and write a Chrome trace-event JSON (open in Perfetto; \
+       summarize with $(b,tensorir report)) to $(docv): spans, one \
+       $(b,gen.commit) instant per generation, and the final metrics."
     in
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
   let session_arg =
     let doc =
@@ -250,7 +269,7 @@ let tune_cmd =
     (Cmd.info "tune" ~doc:"Auto-schedule a workload with the tensorization-aware tuner")
     Term.(
       const run $ workload_arg $ target_arg $ trials_arg $ seed_arg $ print_best
-      $ db_arg $ journal_arg $ session_arg $ resume_arg $ halt_after_arg
+      $ db_arg $ trace_arg $ session_arg $ resume_arg $ halt_after_arg
       $ jobs_arg $ model_store_arg)
 
 (* --- session --- *)
@@ -371,18 +390,7 @@ let lint_cmd =
   let module A = Tir_analysis.Analysis in
   let module BC = Tir_analysis.Bounds_check in
   let module L = Tir_analysis.Legality in
-  let json_escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
+  let module J = Tir_obs.Json_min in
   let item_message (it : L.item) =
     match it.L.it_verdict with
     | L.Illegal d -> d.Tir_analysis.Diagnostic.message
@@ -435,7 +443,7 @@ let lint_cmd =
         findings := !findings + List.length issues + List.length ds;
         if json then begin
           let b = Buffer.create 512 in
-          Printf.bprintf b "    {\"name\": \"%s\",\n" (json_escape name);
+          Printf.bprintf b "    {\"name\": \"%s\",\n" (J.escape name);
           Printf.bprintf b "     \"findings\": %d,\n"
             (List.length issues + List.length ds);
           Printf.bprintf b
@@ -446,7 +454,7 @@ let lint_cmd =
             (fun i is ->
               Printf.bprintf b "%s\"%s\""
                 (if i = 0 then "" else ", ")
-                (json_escape (Fmt.str "%a" Tir_sched.Validate.pp_issue is)))
+                (J.escape (Fmt.str "%a" Tir_sched.Validate.pp_issue is)))
             issues;
           Printf.bprintf b "],\n     \"diagnostics\": [";
           List.iteri
@@ -458,10 +466,10 @@ let lint_cmd =
                 (if i = 0 then "" else ",")
                 (Tir_analysis.Diagnostic.severity_to_string d.severity)
                 (Tir_analysis.Diagnostic.kind_to_string d.kind)
-                (json_escape d.block) (json_escape d.buffer)
+                (J.escape d.block) (J.escape d.buffer)
                 (String.concat ", "
-                   (List.map (fun l -> "\"" ^ json_escape l ^ "\"") d.loops))
-                (json_escape d.message))
+                   (List.map (fun l -> "\"" ^ J.escape l ^ "\"") d.loops))
+                (J.escape d.message))
             ds;
           Printf.bprintf b "],\n     \"legality\": [";
           List.iteri
@@ -471,13 +479,13 @@ let lint_cmd =
                  \"block\": \"%s\", \"advisory\": %b, \"detail\": \"%s\", \
                  \"verdict\": \"%s\", \"message\": \"%s\"}"
                 (if i = 0 then "" else ",")
-                (json_escape it.L.it_primitive)
-                (json_escape it.L.it_loop)
-                (json_escape it.L.it_block)
+                (J.escape it.L.it_primitive)
+                (J.escape it.L.it_loop)
+                (J.escape it.L.it_block)
                 it.L.it_advisory
-                (json_escape it.L.it_detail)
+                (J.escape it.L.it_detail)
                 (L.verdict_to_string it.L.it_verdict)
-                (json_escape (item_message it)))
+                (J.escape (item_message it)))
             items;
           Printf.bprintf b "]}";
           json_files := Buffer.contents b :: !json_files
@@ -549,106 +557,145 @@ let lint_cmd =
 
 (* --- report --- *)
 
+(* What [report] gathers for one tenant (or job) of a trace. *)
+type report_block = {
+  spans : (string, int * float) Hashtbl.t;  (** name -> count, total us *)
+  mutable gens : (string * Tir_obs.Json_min.v) list list;
+      (** [gen.commit] args, newest first *)
+  counters : (string, float) Hashtbl.t;  (** the final registry dump *)
+  gauges : (string, float) Hashtbl.t;
+}
+
 let report_cmd =
-  let module J = Tir_obs.Journal in
-  let run path =
-    let events =
-      match J.load_result path with
-      | Ok events -> events
-      | Error e ->
-          Fmt.epr "tensorir: %s@." (Error.to_string e);
-          exit (Error.exit_code e.Error.kind)
+  let module J = Tir_obs.Json_min in
+  (* One block per tenant (or job, when there is no tenant), in order of
+     first appearance; later samples of a counter replace earlier ones. *)
+  let blocks_of events =
+    let blocks = ref [] in
+    let block ctx =
+      let s k = match List.assoc_opt k ctx with Some (J.Str v) -> Some v | _ -> None in
+      let key =
+        match (s "tenant", s "job") with
+        | Some t, _ -> "tenant " ^ t
+        | None, Some j -> "job " ^ j
+        | None, None -> "no context"
+      in
+      match List.assoc_opt key !blocks with
+      | Some b -> b
+      | None ->
+          let b =
+            { spans = Hashtbl.create 16; gens = []; counters = Hashtbl.create 64;
+              gauges = Hashtbl.create 16 }
+          in
+          blocks := (key, b) :: !blocks;
+          b
     in
-    (* runs *)
     List.iter
-      (function
-        | J.Run_start { workload; target; seed; trials; jobs } ->
-            Fmt.pr "run: %s on %s  (seed %d, %d trials, %d jobs)@." workload
-              target seed trials jobs
+      (fun ev ->
+        let ev = J.obj "event" ev in
+        let get k = J.field "event" ev k in
+        let name = J.str "name" (get "name") in
+        let args () = J.obj "args" (get "args") in
+        match J.str "ph" (get "ph") with
+        | "X" ->
+            let b = block (args ()) in
+            let n, total = Option.value (Hashtbl.find_opt b.spans name) ~default:(0, 0.0) in
+            Hashtbl.replace b.spans name (n + 1, total +. J.num "dur" (get "dur"))
+        | "i" when name = "gen.commit" ->
+            let b = block (args ()) in
+            b.gens <- args () :: b.gens
+        | "C" -> (
+            let a = args () in
+            let ctx = J.obj "args.ctx" (J.field "args" a "ctx") in
+            let v = J.num "value" (J.field "args" a "value") in
+            match List.assoc_opt "metric" ctx with
+            | Some (J.Str "counter") -> Hashtbl.replace (block ctx).counters name v
+            | Some (J.Str "gauge") -> Hashtbl.replace (block ctx).gauges name v
+            | _ -> ())
         | _ -> ())
       events;
-    (* spans, flame-ordered as written, indented by nesting depth *)
+    List.rev !blocks
+  in
+  let gen_field parse g k =
+    let v = J.str ("gen.commit." ^ k) (J.field "gen.commit" g k) in
+    match parse v with Some x -> x | None -> J.fail "gen.commit.%s: bad value %S" k v
+  in
+  let gen_int = gen_field int_of_string_opt and gen_float = gen_field float_of_string_opt in
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let print_block (label, b) =
+    Fmt.pr "== %s ==@." label;
     let spans =
-      List.filter_map
-        (function
-          | J.Span { name; depth; start_us = _; dur_us } -> Some (name, depth, dur_us)
-          | _ -> None)
-        events
+      Hashtbl.fold (fun name (n, total) acc -> (name, n, total) :: acc) b.spans []
+      |> List.sort (fun (_, _, x) (_, _, y) -> Float.compare y x)
     in
     if spans <> [] then begin
-      Fmt.pr "@.spans:@.";
-      List.iter
-        (fun (name, depth, dur_us) ->
-          Fmt.pr "  %s%-*s %12.1f us@."
-            (String.make (2 * depth) ' ')
-            (28 - (2 * depth)) name dur_us)
-        spans
+      Fmt.pr "@.%-34s %8s %14s@." "span" "count" "total (us)";
+      List.iter (fun (name, n, total) -> Fmt.pr "%-34s %8d %14.1f@." name n total) spans
     end;
-    (* per-generation curve *)
-    let gens =
-      List.filter_map
-        (function
-          | J.Generation { gen; measured; best_us; rank_corr; _ } ->
-              Some (gen, measured, best_us, rank_corr)
-          | _ -> None)
-        events
-    in
+    let gens = List.rev b.gens in
+    let best g = gen_float g "best_us" and rank_corr g = gen_float g "rank_corr" in
     if gens <> [] then begin
       Fmt.pr "@.%-5s %9s %14s %10s@." "gen" "measured" "best (us)" "rank-corr";
       List.iter
-        (fun (gen, measured, best_us, rank_corr) ->
-          Fmt.pr "%-5d %9d %14.2f %10.2f@." gen measured best_us rank_corr)
+        (fun g ->
+          Fmt.pr "%-5d %9d %14.2f %10.2f@." (gen_int g "gen") (gen_int g "measured") (best g)
+            (rank_corr g))
         gens
     end;
-    (* metrics registry dump *)
-    let counters =
-      List.filter_map
-        (function J.Counter { name; value } -> Some (name, value) | _ -> None)
-        events
-    in
-    let gauges =
-      List.filter_map
-        (function J.Gauge { name; value } -> Some (name, value) | _ -> None)
-        events
-    in
-    if counters <> [] then begin
+    if Hashtbl.length b.counters > 0 then begin
       Fmt.pr "@.counters:@.";
-      List.iter (fun (name, v) -> Fmt.pr "  %-28s %12d@." name v) counters
+      List.iter (fun (name, v) -> Fmt.pr "  %-34s %14.0f@." name v) (sorted b.counters);
+      let bytes scope =
+        Option.value (Hashtbl.find_opt b.counters ("sim.bytes." ^ scope)) ~default:0.0
+      in
+      Fmt.pr "@.data movement: global %.0f bytes, shared %.0f bytes, local %.0f bytes@."
+        (bytes "global") (bytes "shared") (bytes "local")
     end;
-    if gauges <> [] then begin
+    if Hashtbl.length b.gauges > 0 then begin
       Fmt.pr "@.gauges:@.";
-      List.iter (fun (name, v) -> Fmt.pr "  %-28s %12.4f@." name v) gauges
+      List.iter (fun (name, v) -> Fmt.pr "  %-34s %14.4f@." name v) (sorted b.gauges)
     end;
-    (* data movement per storage scope, from the registry dump *)
-    let scope_bytes scope =
-      match List.assoc_opt ("sim.bytes." ^ scope) counters with
-      | Some b -> b
-      | None -> 0
+    (* funnel totals and the best-so-far check (NaN = nothing measured yet) *)
+    let total k = List.fold_left (fun acc g -> acc + gen_int g k) 0 gens in
+    let monotone, _ =
+      List.fold_left
+        (fun (ok, prev) g ->
+          let x = best g in
+          if Float.is_nan x then (ok, prev) else (ok && x <= prev, x))
+        (true, Float.infinity) gens
     in
-    if counters <> [] then
-      Fmt.pr "@.data movement: global %d bytes, shared %d bytes, local %d bytes@."
-        (scope_bytes "global") (scope_bytes "shared") (scope_bytes "local");
-    (* journal totals *)
-    let s = J.summarize events in
-    Fmt.pr "@.summary: %d run(s), %d generation(s)@." s.J.runs s.J.generations;
-    Fmt.pr "  proposed %d (+%d deduped), invalid %d, inapplicable %d@."
-      s.J.proposed s.J.deduped s.J.invalid s.J.inapplicable;
-    Fmt.pr "  measured %d (memo hits %d), mutations %d, crossovers %d, accepted %d@."
-      s.J.measured s.J.memo_hits s.J.mutations s.J.crossovers s.J.accepted;
-    Fmt.pr "  best latency: %.2f us; best-so-far monotone: %b@." s.J.final_best_us
-      s.J.best_monotone;
-    Fmt.pr "  cost-model rank correlation (last generation): %.2f@."
-      s.J.last_rank_corr
+    let last f = match List.rev gens with g :: _ -> f g | [] -> Float.nan in
+    Fmt.pr "@.summary: %d generation(s)@." (List.length gens);
+    Fmt.pr "  proposed %d (+%d deduped), invalid %d, unsound %d, inapplicable %d@."
+      (total "proposed") (total "deduped") (total "invalid") (total "unsound")
+      (total "inapplicable");
+    Fmt.pr "  measured %d (memo hits %d of %d lookups), mutations %d, crossovers %d, accepted %d@."
+      (total "measured") (total "memo_hits") (total "lookups") (total "mutations")
+      (total "crossovers") (total "accepted");
+    Fmt.pr "  best latency: %.2f us; best-so-far monotone: %b@." (last best) monotone;
+    Fmt.pr "  cost-model rank correlation (last generation): %.2f@.@." (last rank_corr)
+  in
+  let run path =
+    with_errors @@ fun () ->
+    try
+      let top = J.obj "trace" (J.parse_file path) in
+      List.iter print_block (blocks_of (J.arr "traceEvents" (J.field "trace" top "traceEvents")))
+    with
+    | J.Invalid msg -> Error.raise_error ~context:path Error.Parse msg
+    | Sys_error msg -> Error.raise_error ~context:path Error.Io msg
   in
   let path =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"JOURNAL" ~doc:"Journal file written by tune --journal.")
+      & info [] ~docv:"TRACE"
+          ~doc:"Chrome trace written by $(b,tune --trace-out) or $(b,serve --trace-out).")
   in
   Cmd.v
     (Cmd.info "report"
-       ~doc:"Render a tuning journal: spans, metrics, and the search summary")
+       ~doc:
+         "Summarize a trace per tenant or job: span totals, the per-generation \
+          curve, search funnel totals, and the final metrics")
     Term.(const run $ path)
 
 (* --- intrinsics --- *)

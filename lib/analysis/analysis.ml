@@ -98,7 +98,7 @@ let certify (f : Primfunc.t) : Legality.verdict =
   | Some d -> Legality.Illegal d
   | None -> if ds = [] then Legality.Legal else Legality.Unknown
 
-(** [check_func] under an [analysis.lint] span — the entry point for the
-    CLI and other interactive callers; the hot search path calls
-    [errors] directly to keep the span list lean. *)
-let lint f = Tir_obs.Span.with_span "analysis.lint" (fun () -> check_func f)
+(** [check_func] under an [analysis.lint] trace span — the entry point
+    for the CLI and other interactive callers; the hot search path calls
+    [errors] directly to keep the trace lean. *)
+let lint f = Tir_obs.Trace.with_span "analysis.lint" (fun () -> check_func f)

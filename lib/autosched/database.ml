@@ -68,47 +68,16 @@ let size t = List.length t.records
 
 let version_header = "# tensorir database v2"
 
-(* Percent-escape every character with structural meaning in the line
-   format: '%' (the escape itself), '|' (field separator), '\n'/'\r' (record
-   separator), ',' and '=' (decision-list separators). *)
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '|' | '\n' | '\r' | ',' | '=' ->
-          Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | _ -> failwith "bad escape in database field"
-  in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '%' then begin
-       if !i + 2 >= n then failwith "truncated escape in database field";
-       Buffer.add_char b (Char.chr ((hex s.[!i + 1] * 16) + hex s.[!i + 2]));
-       i := !i + 3
-     end
-     else begin
-       Buffer.add_char b s.[!i];
-       incr i
-     end)
-  done;
-  Buffer.contents b
+(* Every field escapes what has structural meaning in the line format:
+   '|' (field separator), '\n'/'\r' (record separator), ',' and '='
+   (decision-list separators). *)
+let field_chars = Tir_core.Percent.reserved "|\n\r,="
+let esc = Tir_core.Percent.escape field_chars
+let unesc = Tir_core.Percent.unescape
 
 let decisions_to_string (d : Space.decisions) =
   String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" (escape k) v) (List.sort compare d))
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" (esc k) v) (List.sort compare d))
 
 let decisions_of_string ~unescape_keys s =
   if String.equal s "" then []
@@ -118,31 +87,31 @@ let decisions_of_string ~unescape_keys s =
         match String.index_opt kv '=' with
         | Some i ->
             let k = String.sub kv 0 i in
-            ( (if unescape_keys then unescape k else k),
+            ( (if unescape_keys then unesc k else k),
               int_of_string (String.sub kv (i + 1) (String.length kv - i - 1)) )
         | None -> failwith ("bad decision entry " ^ kv))
       (String.split_on_char ',' s)
 
 let record_to_line r =
-  Printf.sprintf "%s|%s|%s|%s|%s|%.6f|%s" (escape r.target_name)
-    (escape r.workload_name) (escape r.sketch_name) (escape r.base)
+  Printf.sprintf "%s|%s|%s|%s|%s|%.6f|%s" (esc r.target_name)
+    (esc r.workload_name) (esc r.sketch_name) (esc r.base)
     (decisions_to_string r.decisions)
     r.latency_us
-    (match r.trace with Some tr -> escape (Tir_sched.Trace.to_string tr) | None -> "")
+    (match r.trace with Some tr -> esc (Tir_sched.Trace.to_string tr) | None -> "")
 
 let record_of_line_v2 line =
   match String.split_on_char '|' line with
   | [ target_name; workload_name; sketch_name; base; decisions; latency; trace ] ->
       {
-        target_name = unescape target_name;
-        workload_name = unescape workload_name;
-        sketch_name = unescape sketch_name;
-        base = unescape base;
+        target_name = unesc target_name;
+        workload_name = unesc workload_name;
+        sketch_name = unesc sketch_name;
+        base = unesc base;
         decisions = decisions_of_string ~unescape_keys:true decisions;
         latency_us = float_of_string latency;
         trace =
           (if String.equal trace "" then None
-           else Some (Tir_sched.Trace.of_string (unescape trace)));
+           else Some (Tir_sched.Trace.of_string (unesc trace)));
       }
   | _ -> failwith ("bad database line: " ^ line)
 
@@ -268,21 +237,6 @@ let commit t (target : Tir_sim.Target.t) (w : W.t) (best : Evolutionary.measured
 
 (* --- replay --- *)
 
-(* Trace-replay hit-rate counters for the bench JSON: how many records a
-   replay was attempted for, and how many replayed from their trace alone
-   (the fallback sketch path does not count as a trace replay). The same
-   counts (plus commits) also flow into the metrics registry as
-   [db.found] / [db.replayed] / [db.committed]; [reset_replay_counters]
-   only clears the local pair ([Tir_obs.Metrics.reset] clears the registry
-   side). *)
-let replay_found = ref 0
-let replay_ok = ref 0
-let replay_counters () = (!replay_found, !replay_ok)
-
-let reset_replay_counters () =
-  replay_found := 0;
-  replay_ok := 0
-
 (* The function the record's trace was applied to: the workload's func for
    scalar sketches, or the tensorization candidate's canonical program for
    [base = <intrinsic>]. *)
@@ -385,11 +339,9 @@ let replay_from_sketch (target : Tir_sim.Target.t) (sketches : Sketch.t list)
     earlier in the same process re-simulates nothing. *)
 let replay (target : Tir_sim.Target.t) ~(workload : W.t) ~(sketches : Sketch.t list)
     (r : record) : Evolutionary.measured option =
-  incr replay_found;
   Tir_obs.Metrics.incr m_found;
   match replay_from_trace target workload r with
   | Some m ->
-      incr replay_ok;
       Tir_obs.Metrics.incr m_replayed;
       Some m
   | None -> replay_from_sketch target sketches r

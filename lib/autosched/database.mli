@@ -52,11 +52,11 @@ val load_result : string -> (t, Tir_core.Error.t) result
 
 (** {2 Line codec}
 
-    The v2 serialization discipline, shared with the session WAL: every
-    field percent-escapes ['%'], ['|'], newlines, [','] and ['=']. *)
+    The v2 serialization discipline, shared with the session WAL and the
+    job queue's files: every field percent-escapes ['%'], ['|'],
+    newlines, [','] and ['='] ({!Tir_core.Percent}). *)
 
-val escape : string -> string
-val unescape : string -> string
+val field_chars : Tir_core.Percent.reserved
 
 (** One v2 record line (no trailing newline). *)
 val record_to_line : record -> string
@@ -81,16 +81,12 @@ val commit :
     the workload and the record's [base], re-apply every instruction,
     re-validate, measure once), falling back to re-applying the recorded
     decisions through [sketches] for traceless v1 records. [None] if
-    neither path yields a valid, measurable schedule. *)
+    neither path yields a valid, measurable schedule. Registry counters:
+    [db.found] counts attempts, [db.replayed] the ones that succeeded from
+    the trace alone. *)
 val replay :
   Tir_sim.Target.t ->
   workload:Tir_workloads.Workloads.t ->
   sketches:Sketch.t list ->
   record ->
   Evolutionary.measured option
-
-(** [(found, replayed)]: replays attempted, and replays that succeeded
-    from the serialized trace alone (bench hit-rate reporting). *)
-val replay_counters : unit -> int * int
-
-val reset_replay_counters : unit -> unit

@@ -3,7 +3,7 @@
     The search loop as an explicit state machine: {!create} builds the
     search state, {!step} advances it by exactly one generation (proposal
     fan-out, evaluation, ranked measurement, cost-model retrain,
-    metrics/journal/checkpoint flush). One [step] is the atomic unit of
+    metrics/trace/checkpoint flush). One [step] is the atomic unit of
     work — everything a generation writes is committed before [step]
     returns, so drivers that interleave many engines on one pool
     ([Tir_service.Scheduler]) get preemption at generation boundaries for
@@ -119,7 +119,6 @@ val create :
   ?model:Model.t ->
   ?group:string ->
   ?pool:Tir_parallel.Pool.t ->
-  ?journal:Tir_obs.Journal.sink ->
   ?retry:Tir_parallel.Retry.policy ->
   ?checkpoint:checkpoint ->
   ?resume:resume ->

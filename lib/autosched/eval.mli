@@ -74,10 +74,5 @@ type cache_stats = { hits : int; misses : int; entries : int }
     cumulative [search.memo_hit_rate] gauge). *)
 val cache_stats : unit -> cache_stats
 
-(** Per-table counters, hits/misses from the memo atomics (deterministic at
-    any job count): [("eval", _); ("measure", _)]. Feeds the
-    per-generation [memo.*.hit_rate] journal gauges. *)
-val cache_breakdown : unit -> (string * cache_stats) list
-
 (** Drop every cached entry and reset the counters. *)
 val clear_caches : unit -> unit

@@ -2,7 +2,7 @@
 
     The search itself lives in {!Engine} — an explicit state machine where
     one [Engine.step] runs one generation (proposal fan-out, evaluation,
-    ranked measurement, cost-model retrain, metrics/journal/checkpoint
+    ranked measurement, cost-model retrain, metrics/trace/checkpoint
     flush). This module re-exports the engine's types under their
     historical names and provides [search], the run-to-completion driver:
     it loops [Engine.step] until the trial budget is reached or the space
@@ -62,11 +62,11 @@ let measurement_runs = Engine.measurement_runs
 let measurement_cap_us = Engine.measurement_cap_us
 
 let search ?population ?measure_batch ?use_cost_model ?evolve ?model ?group
-    ?pool ?journal ?retry ?checkpoint ?resume ~seed ~target ~trials
+    ?pool ?retry ?checkpoint ?resume ~seed ~target ~trials
     (sketches : Sketch.t list) : result =
   let e =
     Engine.create ?population ?measure_batch ?use_cost_model ?evolve ?model
-      ?group ?pool ?journal ?retry ?checkpoint ?resume ~seed ~target ~trials
+      ?group ?pool ?retry ?checkpoint ?resume ~seed ~target ~trials
       sketches
   in
   let rec drive () =

@@ -93,12 +93,14 @@ val measurement_cap_us : float
     normalization group, as in [Engine.create].
 
     Every generation bumps the [search.*] counters and the
-    [costmodel.rank_corr] gauge in the metrics registry. When [journal]
-    is given, each generation additionally emits one
-    [Tir_obs.Journal.Generation] summary event plus one [Pair] event per
-    measured candidate (predicted score vs measured latency). Journal
-    counts are accumulated in the sequential slot-order reduce, so they
-    are bit-identical at any job count too. *)
+    [costmodel.rank_corr] gauge in the metrics registry. When tracing is
+    on, it also records one [gen.commit] instant carrying the
+    generation's funnel (proposed, deduped, invalid, unsound,
+    inapplicable, memo hits and lookups, measured, mutations, crossovers,
+    accepted), the cumulative trials, the best-so-far latency and the
+    generation's model rank correlation ([%h] floats). The counts are
+    accumulated in the sequential slot-order reduce, so they are
+    bit-identical at any job count too. *)
 val search :
   ?population:int ->
   ?measure_batch:int ->
@@ -107,7 +109,6 @@ val search :
   ?model:Model.t ->
   ?group:string ->
   ?pool:Tir_parallel.Pool.t ->
-  ?journal:Tir_obs.Journal.sink ->
   ?retry:Tir_parallel.Retry.policy ->
   ?checkpoint:checkpoint ->
   ?resume:resume ->

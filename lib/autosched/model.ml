@@ -68,36 +68,13 @@ end
 let prior (features : float array) =
   (0.5 *. features.(11)) +. (0.2 *. features.(17)) -. (0.05 *. features.(4))
 
-(* --- percent escaping (same alphabet as the WAL / database) ------------- *)
+(* --- percent escaping: the sample and ensemble fields ------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '|' | '\n' | '\r' -> Printf.bprintf b "%%%02X" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let esc = Tir_core.Percent.escape (Tir_core.Percent.reserved "|\n\r")
 
-let unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '%' then begin
-       if !i + 2 >= n then parse_fail "model: truncated escape in %S" s;
-       let hex = String.sub s (!i + 1) 2 in
-       match int_of_string_opt ("0x" ^ hex) with
-       | Some code ->
-           Buffer.add_char b (Char.chr code);
-           i := !i + 2
-       | None -> parse_fail "model: bad escape %%%s in %S" hex s
-     end
-     else Buffer.add_char b s.[!i]);
-    incr i
-  done;
-  Buffer.contents b
+let unesc s =
+  try Tir_core.Percent.unescape s
+  with Failure msg -> parse_fail "model: %s in %S" msg s
 
 let header_prefix = "# tensorir model v1 "
 
@@ -215,7 +192,7 @@ module Gbdt_rank = struct
     let b = Buffer.create 4096 in
     Buffer.add_string b (header_prefix ^ kind ^ "\n");
     for i = 0 to t.n - 1 do
-      Printf.bprintf b "sample|%s|%h|" (escape t.group_names.(t.grps.(i))) t.lats.(i);
+      Printf.bprintf b "sample|%s|%h|" (esc t.group_names.(t.grps.(i))) t.lats.(i);
       Array.iteri
         (fun j x ->
           if j > 0 then Buffer.add_char b ',';
@@ -225,7 +202,7 @@ module Gbdt_rank = struct
     done;
     (match t.model with
     | None -> ()
-    | Some m -> Printf.bprintf b "gbdt|%s\n" (escape (Gbdt.to_string m)));
+    | Some m -> Printf.bprintf b "gbdt|%s\n" (esc (Gbdt.to_string m)));
     Buffer.contents b
 
   let float_field what s =
@@ -250,10 +227,10 @@ module Gbdt_rank = struct
                   (List.map (float_field "feature")
                      (String.split_on_char ',' feats))
               in
-              add t ~group:(unescape group) ~features
+              add t ~group:(unesc group) ~features
                 ~latency_us:(float_field "latency" lat)
           | [ "gbdt"; text ] -> (
-              match Gbdt.of_string (unescape text) with
+              match Gbdt.of_string (unesc text) with
               | m -> t.model <- Some m
               | exception Gbdt.Parse_error e -> parse_fail "model: %s" e)
           | _ -> parse_fail "model: bad line %S" line)

@@ -9,18 +9,13 @@
     interleave many runs on one shared pool, preempting at generation
     boundaries.
 
-    Each phase runs under a [Tir_obs.Span] ([tune.sketch_gen],
-    [tune.db_replay], [tune.search]), and a [journal] sink receives the
-    run's event stream: [Run_start], the per-generation events from
-    [Evolutionary.search], the spans recorded during this call, a dump of
-    the metrics registry, and [Run_end]. *)
+    Each phase runs under a [Tir_obs.Trace] span ([tune.sketch_gen],
+    [tune.db_replay], [tune.search]); the search records one [gen.commit]
+    instant per generation. *)
 
 module W = Tir_workloads.Workloads
 module TI = Tir_intrin.Tensor_intrin
-module Clock = Tir_obs.Clock
-module Journal = Tir_obs.Journal
-module Metrics = Tir_obs.Metrics
-module Span = Tir_obs.Span
+module Trace = Tir_obs.Trace
 
 type result = {
   workload : W.t;
@@ -58,35 +53,6 @@ let target_intrinsics (target : Tir_sim.Target.t) =
       | exception TI.Not_registered _ -> None)
     target.Tir_sim.Target.supported_intrinsics
 
-(* Close out a journaled run: spans recorded since [span0], a registry
-   dump, and the [Run_end] summary. *)
-let journal_finish sink ~span0 ~t0 ~(stats : Evolutionary.stats) ~best_us =
-  List.iter
-    (fun (s : Span.span) ->
-      Journal.emit sink
-        (Journal.Span
-           {
-             name = s.Span.name;
-             depth = s.Span.depth;
-             start_us = s.Span.start_us;
-             dur_us = s.Span.dur_us;
-           }))
-    (Span.since span0);
-  let snap = Metrics.snapshot () in
-  List.iter
-    (fun (name, value) -> Journal.emit sink (Journal.Counter { name; value }))
-    snap.Metrics.counters;
-  List.iter
-    (fun (name, value) -> Journal.emit sink (Journal.Gauge { name; value }))
-    snap.Metrics.gauges;
-  Journal.emit sink
-    (Journal.Run_end
-       {
-         best_us;
-         trials = stats.Evolutionary.trials;
-         wall_us = Clock.now_us () -. t0;
-       })
-
 (** Tuning configuration: one explicit record instead of a pile of
     optional arguments, so call sites that share a setup pass one value
     around and new knobs stop rippling through every signature. *)
@@ -104,7 +70,6 @@ module Config = struct
     jobs : int option;
         (** size of a private domain pool for this call; [None] shares
             the process-wide [TIR_JOBS]-sized pool *)
-    journal : Tir_obs.Journal.sink option;
     retry : Tir_parallel.Retry.policy;
         (** measurement fault retries + per-candidate budget *)
     model : Model.spec;
@@ -123,7 +88,6 @@ module Config = struct
       sketches = None;
       database = None;
       jobs = None;
-      journal = None;
       retry = Tir_parallel.Retry.default;
       model = Model.Gbdt;
     }
@@ -135,7 +99,6 @@ module Config = struct
   let with_sketches s t = { t with sketches = Some s }
   let with_database db t = { t with database = Some db }
   let with_jobs jobs t = { t with jobs = Some jobs }
-  let with_journal j t = { t with journal = Some j }
   let with_retry retry t = { t with retry }
   let with_model model t = { t with model }
 end
@@ -144,14 +107,12 @@ end
 
 type state =
   | D_engine of Engine.t  (** search in flight *)
-  | D_finished of result  (** db commit + journal close already done *)
+  | D_finished of result  (** db commit already done *)
 
 type driver = {
   d_cfg : Config.t;
   d_w : W.t;
   d_target : Tir_sim.Target.t;
-  d_t0 : float;
-  d_span0 : int;
   mutable d_pool : Tir_parallel.Pool.t option;
       (** private pool owned by this driver; [None] once released or when
           the pool is shared/external *)
@@ -174,39 +135,17 @@ let release d =
       d.d_pool <- None;
       Tir_parallel.Pool.shutdown p
 
-(** Set up a tuning run without driving it: journal [Run_start], sketch
-    generation, the database-replay short-circuit, and — when the search
-    is actually needed — an [Engine.t]. [pool] overrides [cfg.jobs] with
+(** Set up a tuning run without driving it: sketch generation, the
+    database-replay short-circuit, and — when the search is actually
+    needed — an [Engine.t]. [pool] overrides [cfg.jobs] with
     an externally owned pool (the scheduler passes its shared pool and
     keeps ownership); without it, [cfg.jobs = Some j] creates a private
     pool that {!release} (or the last {!step}) joins. *)
 let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
     (target : Tir_sim.Target.t) : driver =
   let { Config.seed; trials; use_cost_model; evolve; retry; _ } = cfg in
-  let t0 = Clock.now_us () in
-  let span0 = Span.count () in
-  (match cfg.Config.journal with
-  | None -> ()
-  | Some sink ->
-      let jobs =
-        match pool with
-        | Some p -> Tir_parallel.Pool.jobs p
-        | None -> (
-            match cfg.Config.jobs with
-            | Some j -> j
-            | None -> Tir_parallel.Pool.jobs (Tir_parallel.Pool.global ()))
-      in
-      Journal.emit sink
-        (Journal.Run_start
-           {
-             workload = w.W.name;
-             target = target.Tir_sim.Target.name;
-             seed;
-             trials;
-             jobs;
-           }));
   let sketches =
-    Span.with_span "tune.sketch_gen" (fun () ->
+    Trace.with_span "tune.sketch_gen" (fun () ->
         match cfg.Config.sketches with
         | Some s -> s
         | None -> Sketch.generate target w (target_intrinsics target))
@@ -214,7 +153,7 @@ let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
   let cached =
     match cfg.Config.database with
     | Some db when resume = None ->
-        Span.with_span "tune.db_replay" (fun () ->
+        Trace.with_span "tune.db_replay" (fun () ->
             match
               Database.find db ~target_name:target.Tir_sim.Target.name
                 ~workload_name:w.W.name
@@ -230,17 +169,10 @@ let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
       stats.Evolutionary.trials <- 1;
       stats.Evolutionary.profiling_us <-
         best.Evolutionary.latency_us +. Evolutionary.measurement_overhead_us;
-      Option.iter
-        (fun sink ->
-          journal_finish sink ~span0 ~t0 ~stats
-            ~best_us:best.Evolutionary.latency_us)
-        cfg.Config.journal;
       {
         d_cfg = cfg;
         d_w = w;
         d_target = target;
-        d_t0 = t0;
-        d_span0 = span0;
         d_pool = None;
         d_state =
           D_finished
@@ -262,35 +194,24 @@ let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
         Engine.create ~use_cost_model ~evolve
           ~model:(Model.of_spec cfg.Config.model)
           ~group:(target.Tir_sim.Target.name ^ "|" ^ w.W.name)
-          ?pool:engine_pool ?journal:cfg.Config.journal ~retry ?checkpoint
+          ?pool:engine_pool ~retry ?checkpoint
           ?resume ~seed ~target ~trials sketches
       in
       {
         d_cfg = cfg;
         d_w = w;
         d_target = target;
-        d_t0 = t0;
-        d_span0 = span0;
         d_pool = private_pool;
         d_state = D_engine engine;
       }
 
 (* Close out a run whose engine finished: commit the best schedule to the
-   database, finish the journal, join any private pool. Runs exactly once
-   per driver. *)
+   database, join any private pool. Runs exactly once per driver. *)
 let finalize d (e : Engine.t) : result =
   let { Evolutionary.best; stats } = Engine.result e in
   (match (d.d_cfg.Config.database, best) with
   | Some db, Some b -> Database.commit db d.d_target d.d_w b
   | _ -> ());
-  Option.iter
-    (fun sink ->
-      journal_finish sink ~span0:d.d_span0 ~t0:d.d_t0 ~stats
-        ~best_us:
-          (match best with
-          | Some b -> b.Evolutionary.latency_us
-          | None -> Float.nan))
-    d.d_cfg.Config.journal;
   release d;
   let r =
     {
@@ -307,8 +228,7 @@ let finalize d (e : Engine.t) : result =
 (** Advance the run by one search generation. Returns [Finished] when the
     run is over (replayed from the database, trial budget reached, or
     space exhausted) — the first [Finished] transition commits the best
-    schedule to [cfg.database], closes the journal, and joins the
-    driver's private pool; later calls return the same result. *)
+    schedule to [cfg.database] and joins the driver's private pool; later calls return the same result. *)
 let step d : progress =
   match d.d_state with
   | D_finished r -> Finished r
@@ -339,7 +259,7 @@ let run ?checkpoint ?resume (cfg : Config.t) (w : W.t)
       Fun.protect
         ~finally:(fun () -> release d)
         (fun () ->
-          Span.with_span "tune.search" (fun () ->
+          Trace.with_span "tune.search" (fun () ->
               let rec drive () =
                 match Engine.step e with
                 | _, Engine.Stepped _ -> drive ()

@@ -47,7 +47,6 @@ module Config : sig
     jobs : int option;
         (** size of a private domain pool for this call; [None] shares
             the process-wide [TIR_JOBS]-sized pool *)
-    journal : Tir_obs.Journal.sink option;
     retry : Tir_parallel.Retry.policy;
         (** measurement fault retries + per-candidate budget *)
     model : Model.spec;
@@ -58,7 +57,7 @@ module Config : sig
   }
 
   (** seed 42, 64 trials, cost model + evolution on, no sketches /
-      database / journal override, shared pool, [Retry.default], a fresh
+      database override, shared pool, [Retry.default], a fresh
       [Model.Gbdt]. *)
   val default : t
 
@@ -69,16 +68,15 @@ module Config : sig
   val with_sketches : Sketch.t list -> t -> t
   val with_database : Database.t -> t -> t
   val with_jobs : int -> t -> t
-  val with_journal : Tir_obs.Journal.sink -> t -> t
   val with_retry : Tir_parallel.Retry.policy -> t -> t
   val with_model : Model.spec -> t -> t
 end
 
 (** A tuning run as an explicit state machine over {!Engine}: {!prepare}
-    sets it up (journal [Run_start], sketch generation, database-replay
-    short-circuit), each {!step} runs one search generation, and the
-    first [Finished] transition commits the best schedule to the
-    database, closes the journal, and joins the driver's private pool.
+    sets it up (sketch generation, database-replay short-circuit), each
+    {!step} runs one search generation, and the first [Finished]
+    transition commits the best schedule to the database and joins the
+    driver's private pool.
     {!run} drives one to completion; [Tir_service.Scheduler] interleaves
     many on one shared pool. *)
 type driver
@@ -120,12 +118,10 @@ val release : driver -> unit
 (** Tune a workload under a {!Config.t}. Results are bit-identical at any
     job count for a fixed seed.
 
-    Phases run under [Tir_obs.Span]s ([tune.sketch_gen], [tune.db_replay],
-    [tune.search]). [Config.journal] receives the run's event stream:
-    [Run_start], the per-generation search events, this call's spans, a
-    metrics-registry dump, and [Run_end]. Journal counter content is
-    bit-identical at any job count; only span durations and time-derived
-    gauges vary.
+    Phases run under [Tir_obs.Trace] spans ([tune.sketch_gen],
+    [tune.db_replay], [tune.search]), and each search generation records
+    a [gen.commit] instant ([Evolutionary.search]). Event identities are
+    bit-identical at any job count; only timings vary.
 
     [checkpoint]/[resume] wire the search's write-ahead hooks
     ([Evolutionary.checkpoint]/[resume]); the crash-safe on-disk log

@@ -4,14 +4,13 @@
     error value instead of ad-hoc exceptions: [kind] classifies the
     failure, [context] names the artifact (a file path, a database key, a
     fault site), [message] carries the detail. [result]-returning API
-    variants ([Database.load_result], [Trace.of_string_result],
-    [Journal.parse_result], [Session.open_resume]) return [Error.t]
-    directly; exception-based paths raise {!Error} carrying the same
-    value, and the CLI maps each [kind] to a distinct process exit code
-    ({!exit_code}). *)
+    variants ([Database.load_result], [Trace.of_string_result]) return
+    [Error.t] directly; exception-based paths raise {!Error} carrying the
+    same value, and the CLI maps each [kind] to a distinct process exit
+    code ({!exit_code}). *)
 
 type kind =
-  | Parse  (** malformed input text (scripts, traces, journal lines) *)
+  | Parse  (** malformed input text (scripts, schedule traces, trace files) *)
   | Io  (** the operating system refused (missing file, permissions) *)
   | Corrupt  (** a stored artifact violates its own format (database /
                  WAL structure, failed integrity checks) *)

@@ -1,9 +1,30 @@
-(* Minimal recursive-descent JSON parser and escaping helpers, shared by
-   the trace exporter, the bench validators (tools/validate_bench,
-   tools/validate_trace, tools/bench_diff) and the export-validity tests.
-   Stdlib only — the repo deliberately carries no JSON dependency. *)
+(* Minimal JSON codec: the one string escaper every JSON writer uses, and
+   a recursive-descent parser shared by the bench validators
+   (tools/validate_bench, tools/validate_trace, tools/bench_diff), the
+   trace report and the export-validity tests. Stdlib only — the repo
+   deliberately carries no JSON dependency. *)
 
 exception Invalid of string
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let escape s =
+  if not (String.exists needs_escape s) then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
@@ -53,8 +74,8 @@ let parse (s : string) : v =
           | 'b' -> Buffer.add_char b '\b'
           | 'f' -> Buffer.add_char b '\012'
           | 'u' ->
-              (* our writers never emit \u escapes; decode as a code point
-                 truncated to a byte, enough for validation *)
+              (* [escape] writes \u only for bytes below 0x20; decode
+                 as a code point truncated to a byte *)
               let hex c =
                 match c with
                 | '0' .. '9' -> Char.code c - Char.code '0'
@@ -62,10 +83,13 @@ let parse (s : string) : v =
                 | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
                 | c -> fail "bad \\u escape character '%c'" c
               in
-              let v =
-                (hex (next ()) * 4096) + (hex (next ()) * 256) + (hex (next ()) * 16)
-                + hex (next ())
-              in
+              (* one digit at a time: operand evaluation order is
+                 unspecified *)
+              let v = ref 0 in
+              for _ = 1 to 4 do
+                v := (!v * 16) + hex (next ())
+              done;
+              let v = !v in
               Buffer.add_char b (Char.chr (v land 0xff))
           | c -> fail "bad escape '\\%c'" c);
           go ())

@@ -1,7 +1,14 @@
-(** Minimal stdlib-only JSON parser shared by the trace exporter, the
-    bench validators and the tests. Raises {!Invalid} on malformed input
-    and on non-finite numbers reached through {!num} (our writers emit
+(** Minimal stdlib-only JSON codec shared by every JSON writer (trace
+    export, metrics snapshots, bench results, [lint --json]), the bench
+    validators and the tests. {!parse} raises {!Invalid} on malformed
+    input, and {!num} on non-finite numbers (our writers emit
     NaN/infinity as [null], which validation rejects). *)
+
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    ['"'] and ['\\'] are backslash-escaped, newline, tab and carriage
+    return get their short escapes, and every other byte below 0x20 is
+    written as [\u00XX]. Other bytes pass through. *)
+val escape : string -> string
 
 exception Invalid of string
 

@@ -189,22 +189,6 @@ let reset () =
 
 (* --- scrape-able JSON rendering --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
 
@@ -218,7 +202,7 @@ let snapshot_json (s : snapshot) =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%s" (json_escape k) (render v)))
+        Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Json_min.escape k) (render v)))
       items;
     Buffer.add_char b '}'
   in

@@ -1,6 +1,7 @@
 (** Small statistics helpers for the observability layer.
 
-    The search journal reports a running cost-model quality gauge as the
+    The search reports cost-model quality (the [costmodel.rank_corr]
+    gauge, and per generation on the [gen.commit] trace instant) as the
     Spearman rank correlation between predicted scores and measured
     latencies — rank-based because the cost model is only ever used to
     *rank* candidates (scores are normalized throughput, not absolute

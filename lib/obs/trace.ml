@@ -132,7 +132,7 @@ let instant ?(args = []) name =
         e_stack = stack_names () @ [ name ];
       }
 
-let counter name value =
+let counter ?(args = []) name value =
   (* Non-finite samples are dropped rather than recorded: the Chrome
      export has no representation for them and validation rejects null. *)
   if is_enabled () && Float.is_finite value then
@@ -141,7 +141,7 @@ let counter name value =
         e_kind = Counter;
         e_name = name;
         e_ctx = ambient ();
-        e_args = [];
+        e_args = args;
         e_value = value;
         e_ts_us = Clock.now_us ();
         e_dur_us = 0.0;
@@ -245,29 +245,13 @@ let counts () =
 
 (* --- Chrome trace-event export (Perfetto / chrome://tracing) --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let ctx_args c args =
   let b = Buffer.create 64 in
   let first = ref true in
   let add k v =
     if not !first then Buffer.add_char b ',';
     first := false;
-    Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+    Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (Json_min.escape k) (Json_min.escape v))
   in
   Buffer.add_char b '{';
   (match c.tenant with Some t -> add "tenant" t | None -> ());
@@ -310,22 +294,23 @@ let export_chrome () =
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":%s}"
-               (json_escape e.e_name) e.e_track ts e.e_dur_us args)
+               (Json_min.escape e.e_name) e.e_track ts e.e_dur_us args)
       | Instant ->
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":%s}"
-               (json_escape e.e_name) e.e_track ts args)
+               (Json_min.escape e.e_name) e.e_track ts args)
       | Counter ->
           let args_v =
-            (* counter tracks plot args values; keep the ctx alongside *)
-            let inner = ctx_args e.e_ctx [] in
+            (* counter tracks plot args values; keep the ctx (and the
+               event's own args) alongside *)
+            let inner = ctx_args e.e_ctx e.e_args in
             Printf.sprintf "{\"value\":%.6f,\"ctx\":%s}" e.e_value inner
           in
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":%s}"
-               (json_escape e.e_name) e.e_track ts args_v))
+               (Json_min.escape e.e_name) e.e_track ts args_v))
     evs;
   Buffer.add_string b "]}\n";
   Buffer.contents b

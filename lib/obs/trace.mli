@@ -1,7 +1,9 @@
 (** Causal tracing: wide structured events carrying a propagated context
     (tenant / job / session / generation / candidate), with monotone
     timestamps, per-domain sharded buffers, and deterministic
-    aggregation.
+    aggregation. This is the one event recorder: phase spans, the
+    search's per-generation [gen.commit] record, and counter samples all
+    land here, and [tensorir report] reads the Chrome export back.
 
     Determinism contract: an event's {e identity} is its kind, name,
     context, args, and counter value. Timestamps, durations, self-times,
@@ -49,12 +51,13 @@ val with_ambient : ctx -> (unit -> 'a) -> 'a
 (** [with_span name f] records a complete-span event around [f]
     (duration and self-time measured; exceptions propagate, the span is
     still recorded). [instant] records a point event, [counter] a
-    counter sample (non-finite values are dropped). [args] become part
-    of the event identity — only pass deterministic values. *)
+    counter sample (non-finite values are dropped; the Chrome export
+    keeps a counter's [args] beside its context). [args] become part of
+    the event identity — only pass deterministic values. *)
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
 val instant : ?args:(string * string) list -> string -> unit
-val counter : string -> float -> unit
+val counter : ?args:(string * string) list -> string -> float -> unit
 
 val reset : unit -> unit
 

@@ -39,8 +39,8 @@ module Database = Tir_autosched.Database
 module Error = Tir_core.Error
 module Metrics = Tir_obs.Metrics
 
-let esc = Database.escape
-let unesc = Database.unescape
+let esc = Tir_core.Percent.escape Database.field_chars
+let unesc = Tir_core.Percent.unescape
 let fl = Printf.sprintf "%h"
 
 type job = {

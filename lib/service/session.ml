@@ -8,7 +8,6 @@ module Model = Tir_autosched.Model
 module Database = Tir_autosched.Database
 module Error = Tir_core.Error
 module Metrics = Tir_obs.Metrics
-module Span = Tir_obs.Span
 module Trace = Tir_sched.Trace
 
 let m_resumes = Metrics.counter "session.resumes"
@@ -30,8 +29,8 @@ let corrupt ~path fmt =
 (* Hex float serialization round-trips every bit — latencies feed the
    cost model and the elite ranking, so "close" is not good enough. *)
 let fl = Printf.sprintf "%h"
-let esc = Database.escape
-let unesc = Database.unescape
+let esc = Tir_core.Percent.escape Database.field_chars
+let unesc = Tir_core.Percent.unescape
 
 (* --- record grammar ----------------------------------------------------- *)
 
@@ -221,32 +220,21 @@ let parse ~path =
   match lines with
   | [] -> corrupt ~path "empty or missing session log"
   | meta :: rest ->
-      (* Logs written before the model field existed have 8 meta fields;
-         they read back as the historical default (a fresh GBDT). *)
-      let parse_meta fields spec =
-        match fields with
-        | [ "meta"; tag; name; tname; seed; trials; ucm; evolve ] -> (
+      let p_tag, p_wname, p_tname, p_seed, p_trials, p_ucm, p_evolve, p_model =
+        match String.split_on_char '|' meta with
+        | [ "meta"; tag; name; tname; seed; trials; ucm; evolve; spec ] -> (
             match (int_of_string_opt seed, int_of_string_opt trials) with
             | Some seed, Some trials ->
                 let model =
-                  match spec with
-                  | None -> Model.Gbdt
-                  | Some s -> (
-                      match Model.spec_of_string (unesc s) with
-                      | m -> m
-                      | exception Model.Parse_error _ ->
-                          corrupt ~path "bad meta model field")
+                  match Model.spec_of_string (unesc spec) with
+                  | m -> m
+                  | exception Model.Parse_error _ ->
+                      corrupt ~path "bad meta model field"
                 in
                 ( unesc tag, unesc name, unesc tname, seed, trials,
                   String.equal ucm "1", String.equal evolve "1", model )
             | _ -> corrupt ~path "bad meta record")
         | _ -> corrupt ~path "missing meta record"
-      in
-      let p_tag, p_wname, p_tname, p_seed, p_trials, p_ucm, p_evolve, p_model =
-        match String.split_on_char '|' meta with
-        | [ _; _; _; _; _; _; _; _; spec ] as fields ->
-            parse_meta (List.filteri (fun i _ -> i < 8) fields) (Some spec)
-        | fields -> parse_meta fields None
       in
       (* Committed state grows only at [gen]/[done] markers; everything
          newer is pending and may be discarded. *)
@@ -413,8 +401,8 @@ let compact_parsed ~path (p : parsed) =
 
 let compact ~path = compact_parsed ~path (parse ~path)
 
-let resume ?workload ?jobs ?journal ?database ?retry ~path () =
-  Span.with_span "session.resume" (fun () ->
+let resume ?workload ?jobs ?database ?retry ~path () =
+  Tir_obs.Trace.with_span "session.resume" (fun () ->
       Metrics.incr m_resumes;
       let p = parse ~path in
       let w =
@@ -447,7 +435,6 @@ let resume ?workload ?jobs ?journal ?database ?retry ~path () =
           evolve = p.p_evolve;
           model = p.p_model;
           jobs;
-          journal;
           database;
           retry = Option.value retry ~default:Tune.Config.default.Tune.Config.retry;
         }
@@ -612,7 +599,7 @@ let run ?halt_after t : Tune.result =
       let halt_after =
         match halt_after with Some h -> Some h | None -> env_halt_after ()
       in
-      Span.with_span "session.run" (fun () ->
+      Tir_obs.Trace.with_span "session.run" (fun () ->
           let st = start t in
           let rec drive () =
             match step st with

@@ -4,7 +4,7 @@
     write-ahead checkpoint log: every generation's dedup keys, every
     measured candidate, and a per-generation commit marker are appended
     to a WAL file (percent-escaped line records, flushed per append — the
-    same serialization discipline as the trace/database/journal formats).
+    same serialization discipline as the trace and database formats).
     A killed process {!resume}s from the last committed generation and,
     for a fixed seed, converges to the {e bit-identical} best schedule
     trace an uninterrupted run finds: generation randomness derives from
@@ -32,12 +32,11 @@
     The [model] meta field is the escaped [Tir_autosched.Model.spec_to_string]
     of the session's cost-model spec — a [Warm] spec embeds the full
     warm-start snapshot, so resume never depends on a live model store
-    file that may have moved on. Logs written before the field existed
-    (8-field meta) read back as the historical default, a fresh GBDT.
+    file that may have moved on.
 
     Metrics: [session.resumes], [session.generations],
-    [session.discarded], [session.compactions]; spans [session.run],
-    [session.resume]. *)
+    [session.discarded], [session.compactions]; trace spans
+    [session.run], [session.resume]. *)
 
 module W = Tir_workloads.Workloads
 module Tune = Tir_autosched.Tune
@@ -60,7 +59,7 @@ val create : ?force:bool -> path:string -> Tune.Config.t -> W.t -> Tir_sim.Targe
     budget and search flags come from the [meta] record; [workload]
     must be passed explicitly for non-default shapes (the default
     reconstruction goes through [W.by_tag] and is verified against the
-    stored name). [jobs]/[journal]/[database]/[retry] re-attach the
+    stored name). [jobs]/[database]/[retry] re-attach the
     non-serializable configuration. Discards uncommitted records and
     compacts the log atomically before reopening it for append.
 
@@ -69,7 +68,6 @@ val create : ?force:bool -> path:string -> Tune.Config.t -> W.t -> Tir_sim.Targe
 val resume :
   ?workload:W.t ->
   ?jobs:int ->
-  ?journal:Tir_obs.Journal.sink ->
   ?database:Tir_autosched.Database.t ->
   ?retry:Tir_parallel.Retry.policy ->
   path:string ->

@@ -151,6 +151,13 @@ let test_v1_format_load () =
       Alcotest.(check bool) "no trace" true (r.DB.trace = None)
   | None -> Alcotest.fail "v1 record missing"
 
+(* [f ()] with the registry's [db.found]/[db.replayed] increments it made. *)
+let replay_counts f =
+  let v name = Tir_obs.Metrics.counter_value (Tir_obs.Metrics.counter name) in
+  let found = v "db.found" and replayed = v "db.replayed" in
+  let x = f () in
+  (x, (v "db.found" - found, v "db.replayed" - replayed))
+
 let test_trace_only_replay () =
   (* The acceptance property: a record written by [Tune.run] replays from
      its serialized trace alone — empty sketch list, so no sketch
@@ -167,27 +174,26 @@ let test_trace_only_replay () =
     | Some rec_ -> rec_
     | None -> Alcotest.fail "record missing after disk roundtrip"
   in
-  DB.reset_replay_counters ();
-  (match DB.replay gpu ~workload:w ~sketches:[] rec_ with
+  let replayed, counts = replay_counts (fun () -> DB.replay gpu ~workload:w ~sketches:[] rec_) in
+  (match replayed with
   | Some m ->
       Alcotest.(check (float 1e-9)) "trace replay reproduces the tuned latency"
         (Tune.latency_us r) m.Tir_autosched.Evolutionary.latency_us;
       Alcotest.(check bool) "replayed program is valid" true
         (Tir_sched.Validate.is_valid m.Tir_autosched.Evolutionary.func)
   | None -> Alcotest.fail "trace-only replay failed");
-  Alcotest.(check (pair int int)) "replay counters" (1, 1) (DB.replay_counters ())
+  Alcotest.(check (pair int int)) "replay counters" (1, 1) counts
 
 let test_v1_record_falls_back_to_sketch () =
   (* A traceless record can only replay through the sketch path; with no
      sketches available it must return None, not crash. *)
   let w = small_gmm () in
   let r = mk_record ~target:gpu.Tir_sim.Target.name ~workload:w.W.name 1.0 in
-  DB.reset_replay_counters ();
-  (match DB.replay gpu ~workload:w ~sketches:[] r with
+  let replayed, counts = replay_counts (fun () -> DB.replay gpu ~workload:w ~sketches:[] r) in
+  (match replayed with
   | None -> ()
   | Some _ -> Alcotest.fail "traceless record with no sketches must not replay");
-  Alcotest.(check (pair int int)) "found but not trace-replayed" (1, 0)
-    (DB.replay_counters ())
+  Alcotest.(check (pair int int)) "found but not trace-replayed" (1, 0) counts
 
 let test_load_missing_file () =
   let db = DB.load "/nonexistent/path/db.txt" in

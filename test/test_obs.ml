@@ -1,12 +1,12 @@
-(* Observability subsystem: metrics registry, monotone clock, spans,
-   rank correlation, the search journal, and the determinism contract
-   (identical journal/counter content at jobs=1 and jobs=4). *)
+(* Observability subsystem: metrics registry, monotone clock, rank
+   correlation, and the text codecs (percent escaping and JSON strings)
+   every file format shares. *)
 
 module Clock = Tir_obs.Clock
 module Metrics = Tir_obs.Metrics
-module Span = Tir_obs.Span
 module Stat = Tir_obs.Stat
-module Journal = Tir_obs.Journal
+module Percent = Tir_core.Percent
+module Json_min = Tir_obs.Json_min
 module W = Tir_workloads.Workloads
 module Tune = Tir_autosched.Tune
 
@@ -67,34 +67,6 @@ let test_reset_keeps_handles () =
   Metrics.incr c;
   Alcotest.(check int) "handle still live" 1 (Metrics.counter_value c)
 
-(* --- spans --- *)
-
-let test_span_nesting () =
-  let n0 = Span.count () in
-  let v =
-    Span.with_span "outer" (fun () ->
-        Span.with_span "inner" (fun () -> 42))
-  in
-  Alcotest.(check int) "value returned" 42 v;
-  match Span.since n0 with
-  | [ outer; inner ] ->
-      Alcotest.(check string) "flame order: outer first" "outer" outer.Span.name;
-      Alcotest.(check int) "outer depth" 0 outer.Span.depth;
-      Alcotest.(check string) "inner second" "inner" inner.Span.name;
-      Alcotest.(check int) "inner depth" 1 inner.Span.depth;
-      Alcotest.(check bool) "durations non-negative" true
-        (outer.Span.dur_us >= 0.0 && inner.Span.dur_us >= 0.0);
-      Alcotest.(check bool) "inner within outer" true
-        (inner.Span.dur_us <= outer.Span.dur_us)
-  | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
-
-let test_span_recorded_on_raise () =
-  let n0 = Span.count () in
-  (try Span.with_span "raising" (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "span recorded despite raise" 1
-    (List.length (Span.since n0))
-
 (* --- rank correlation --- *)
 
 let test_spearman () =
@@ -111,122 +83,46 @@ let test_spearman () =
   let r = Stat.spearman [| (1.0, 10.0); (2.0, 10.0); (3.0, 30.0); (4.0, 40.0) |] in
   Alcotest.(check bool) "ties: 0 < r < 1" true (r > 0.0 && r < 1.0)
 
-(* --- journal serialization --- *)
+(* --- codecs --- *)
 
-let adversarial = "a|b\"c\\d\ne%f,g=h\x01\x7fi"
-
-let roundtrip_events =
-  [
-    Journal.Run_start
-      { workload = adversarial; target = "gpu|x\"y"; seed = -3; trials = 0; jobs = 64 };
-    Journal.Generation
-      {
-        gen = 2;
-        proposed = 10;
-        deduped = 3;
-        invalid = 1;
-        inapplicable = 4;
-        memo_hits = 2;
-        measured = 5;
-        mutations = 6;
-        crossovers = 1;
-        accepted = 2;
-        best_us = 123.456;
-        rank_corr = -0.25;
-      };
-    Journal.Pair { gen = 0; predicted = -1.5e-9; measured_us = 7.25 };
-    Journal.Span { name = adversarial; depth = 3; start_us = 1.0e12; dur_us = 0.5 };
-    Journal.Counter { name = "sim.bytes.global"; value = max_int };
-    Journal.Gauge { name = "costmodel.rank_corr"; value = -0.75 };
-    Journal.Run_end { best_us = Float.nan; trials = 0; wall_us = 9.0 };
-  ]
-
-let event_eq a b =
-  (* nan <> nan under (=); compare via the serialized form instead *)
-  String.equal (Journal.to_line a) (Journal.to_line b)
-
-let test_journal_roundtrip () =
+(* Every byte 0x00-0xff, through each percent-escaped format and through
+   the JSON string escaper and parser. *)
+let test_codec_every_byte () =
+  let all = String.init 256 Char.chr in
+  let inputs = [ all; "plain"; ""; "%"; "%%41"; "a|b,c=d\n" ] in
+  (* the database/WAL/job-file set, used directly *)
   List.iter
-    (fun ev ->
-      let line = Journal.to_line ev in
-      Alcotest.(check bool)
-        (Printf.sprintf "roundtrip %s" line)
-        true
-        (event_eq ev (Journal.of_line line));
-      (* percent-escaping leaves no raw JSON escapes or control chars: one
-         line per event, and the only '"' are field delimiters *)
+    (fun s ->
+      let e = Percent.escape Tir_autosched.Database.field_chars s in
       String.iter
         (fun c ->
-          if c = '\n' || c = '\r' || Char.code c < 0x20 then
-            Alcotest.fail "control character leaked into a journal line")
-        line)
-    roundtrip_events
-
-let test_journal_nan_null () =
-  let line = Journal.to_line (Journal.Run_end { best_us = Float.nan; trials = 1; wall_us = 2.0 }) in
-  Alcotest.(check bool) "nan written as null" true
-    (let rec contains i =
-       i + 4 <= String.length line
-       && (String.equal (String.sub line i 4) "null" || contains (i + 1))
-     in
-     contains 0);
-  match Journal.of_line line with
-  | Journal.Run_end { best_us; _ } ->
-      Alcotest.(check bool) "null read back as nan" true (Float.is_nan best_us)
-  | _ -> Alcotest.fail "wrong event"
-
-let test_journal_rejects_garbage () =
-  let rejects s =
-    match Journal.of_line s with
-    | exception Journal.Parse_error _ -> ()
-    | _ -> Alcotest.failf "accepted garbage: %s" s
-  in
-  rejects "";
-  rejects "not json";
-  rejects "{\"no_ev\":1}";
-  rejects "{\"ev\":\"launch_missiles\"}";
-  rejects "{\"ev\":\"pair\",\"gen\":0}" (* missing fields *)
-
-let test_journal_file_and_summary () =
-  let path = Filename.temp_file "tir_journal" ".jsonl" in
-  let sink = Journal.open_file path in
-  Journal.emit sink
-    (Journal.Run_start { workload = "w"; target = "t"; seed = 1; trials = 4; jobs = 2 });
-  let gen_ev gen best_us =
-    Journal.Generation
-      {
-        gen;
-        proposed = 4;
-        deduped = 0;
-        invalid = 0;
-        inapplicable = 0;
-        memo_hits = 1;
-        measured = 2;
-        mutations = 1;
-        crossovers = 1;
-        accepted = 1;
-        best_us;
-        rank_corr = 0.5;
-      }
-  in
-  Journal.emit sink (gen_ev 0 100.0);
-  Journal.emit sink (gen_ev 1 80.0);
-  Journal.emit sink (Journal.Run_end { best_us = 80.0; trials = 4; wall_us = 1.0 });
-  Journal.close sink;
-  let events = Journal.load path in
-  let s = Journal.summarize events in
-  Alcotest.(check int) "runs" 1 s.Journal.runs;
-  Alcotest.(check int) "generations" 2 s.Journal.generations;
-  Alcotest.(check int) "proposed" 8 s.Journal.proposed;
-  Alcotest.(check int) "measured" 4 s.Journal.measured;
-  Alcotest.(check int) "accepted" 2 s.Journal.accepted;
-  Alcotest.(check bool) "monotone" true s.Journal.best_monotone;
-  Alcotest.(check (float 0.0)) "final best" 80.0 s.Journal.final_best_us;
-  Sys.remove path;
-  (* a best-so-far that increases must be flagged *)
-  let bad = [ gen_ev 0 50.0; gen_ev 1 60.0 ] in
-  Alcotest.(check bool) "regression detected" false
-    (Journal.summarize bad).Journal.best_monotone
+          if String.contains "|\n\r,=" c then
+            Alcotest.failf "reserved byte %C left unescaped in %S" c e)
+        e;
+      Alcotest.(check string) "database field roundtrip" s (Percent.unescape e))
+    inputs;
+  (* the model store's set, through its own file format *)
+  let m = Tir_autosched.Model.gbdt () in
+  List.iter
+    (fun group -> Tir_autosched.Model.add m ~group ~features:[| 1.0 |] ~latency_us:2.0)
+    inputs;
+  let groups = ref [] in
+  Tir_autosched.Model.iter_samples
+    (Tir_autosched.Model.load (Tir_autosched.Model.save m))
+    (fun ~group ~features:_ ~latency_us:_ -> groups := group :: !groups);
+  Alcotest.(check (list string)) "model group roundtrip" inputs (List.rev !groups);
+  (* JSON strings *)
+  List.iter
+    (fun s ->
+      match Json_min.parse ("\"" ^ Json_min.escape s ^ "\"") with
+      | Json_min.Str s' -> Alcotest.(check string) "json string roundtrip" s s'
+      | _ -> Alcotest.fail "escaped string did not parse as a string")
+    inputs;
+  Alcotest.check_raises "truncated escape" (Failure "truncated percent escape") (fun () ->
+      ignore (Percent.unescape "ab%4"));
+  match Percent.unescape "%zz" with
+  | _ -> Alcotest.fail "non-hex escape accepted"
+  | exception Failure _ -> ()
 
 (* --- gflops edge cases --- *)
 
@@ -248,92 +144,6 @@ let test_gflops_edges () =
     (List.for_all
        (fun l -> Float.is_finite (Tune.gflops (with_latency l)))
        [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -1.0; 5.0 ])
-
-(* --- end-to-end: journaled tuning run, determinism across job counts --- *)
-
-(* Journal lines that must be bit-identical at any job count: everything
-   except span durations, time-derived gauges, and the run-end wall time.
-   [run_start] deliberately records the job count itself — mask that one
-   field so the rest of the line is still compared. *)
-let deterministic_lines path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  let contains l pat =
-    let n = String.length pat and m = String.length l in
-    let rec at i = i + n <= m && (String.equal (String.sub l i n) pat || at (i + 1)) in
-    at 0
-  in
-  let mask_jobs l =
-    match String.index_opt l ':' with
-    | _ when not (contains l "\"ev\":\"run_start\"") -> l
-    | _ -> (
-        (* replace the digits after "jobs": with J *)
-        let pat = "\"jobs\":" in
-        let n = String.length pat and m = String.length l in
-        let rec find i = if i + n > m then None else if String.equal (String.sub l i n) pat then Some (i + n) else find (i + 1) in
-        match find 0 with
-        | None -> l
-        | Some start ->
-            let stop = ref start in
-            while !stop < m && (match l.[!stop] with '0' .. '9' -> true | _ -> false) do
-              incr stop
-            done;
-            String.sub l 0 start ^ "J" ^ String.sub l !stop (m - !stop))
-  in
-  List.rev_map mask_jobs
-    (List.filter
-       (fun l ->
-         not
-           (contains l "\"ev\":\"span\""
-           || contains l "\"ev\":\"gauge\""
-           || contains l "\"ev\":\"run_end\""))
-       !lines)
-  |> List.rev
-
-let test_journal_determinism_across_jobs () =
-  let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
-  let run jobs =
-    (* fresh process-wide state so neither run coasts on the other *)
-    Tir_autosched.Eval.clear_caches ();
-    Metrics.reset ();
-    let path = Filename.temp_file (Printf.sprintf "tir_jobs%d" jobs) ".jsonl" in
-    let sink = Journal.open_file path in
-    let r =
-      Fun.protect
-        ~finally:(fun () -> Journal.close sink)
-        (fun () -> Util.tune ~seed:7 ~trials:24 ~jobs ~journal:sink gpu w)
-    in
-    let counters = (Metrics.snapshot ()).Metrics.counters in
-    (path, r, counters)
-  in
-  let p1, r1, c1 = run 1 in
-  let p4, r4, c4 = run 4 in
-  (* 1. deterministic journal content is bit-identical *)
-  let l1 = deterministic_lines p1 and l4 = deterministic_lines p4 in
-  Alcotest.(check int) "same journal length" (List.length l1) (List.length l4);
-  List.iter2 (fun a b -> Alcotest.(check string) "identical journal line" a b) l1 l4;
-  (* 2. every registry counter is bit-identical *)
-  Alcotest.(check (list (pair string int))) "identical counters" c1 c4;
-  (* 3. journals parse, and the best-so-far curve is monotone *)
-  let check_file path (r : Tune.result) =
-    let events = Journal.load path in
-    let s = Journal.summarize events in
-    Alcotest.(check bool) "monotone best curve" true s.Journal.best_monotone;
-    Alcotest.(check int) "journal trials match stats" r.Tune.stats.Tir_autosched.Evolutionary.trials
-      s.Journal.measured;
-    (* journal floats are written at %.9g — compare up to that precision *)
-    Alcotest.(check (float 1e-5)) "journal best matches result" (Tune.latency_us r)
-      s.Journal.final_best_us;
-    Sys.remove path
-  in
-  check_file p1 r1;
-  check_file p4 r4
 
 let test_rank_corr_gauge_set () =
   let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
@@ -378,16 +188,9 @@ let suite =
     Alcotest.test_case "metrics: histogram" `Quick test_histogram;
     Alcotest.test_case "metrics: kind mismatch" `Quick test_kind_mismatch;
     Alcotest.test_case "metrics: reset keeps handles" `Quick test_reset_keeps_handles;
-    Alcotest.test_case "span: nesting + flame order" `Quick test_span_nesting;
-    Alcotest.test_case "span: recorded on raise" `Quick test_span_recorded_on_raise;
     Alcotest.test_case "stat: spearman" `Quick test_spearman;
-    Alcotest.test_case "journal: roundtrip adversarial" `Quick test_journal_roundtrip;
-    Alcotest.test_case "journal: nan as null" `Quick test_journal_nan_null;
-    Alcotest.test_case "journal: rejects garbage" `Quick test_journal_rejects_garbage;
-    Alcotest.test_case "journal: file + summary" `Quick test_journal_file_and_summary;
+    Alcotest.test_case "codec: every byte roundtrips" `Quick test_codec_every_byte;
     Alcotest.test_case "tune: gflops edge cases" `Quick test_gflops_edges;
-    Alcotest.test_case "journal: identical at jobs=1/4" `Quick
-      test_journal_determinism_across_jobs;
     Alcotest.test_case "metrics: rank-corr gauge after tuning" `Quick
       test_rank_corr_gauge_set;
     Alcotest.test_case "metrics: memo-hit-rate gauge after tuning" `Quick

@@ -108,11 +108,6 @@ let test_result_constructors () =
       Alcotest.(check string) "trace parse kind" "parse"
         (Error.kind_name e.Error.kind)
   | Ok _ -> Alcotest.fail "bad trace parsed");
-  (match Tir_obs.Journal.parse_result "{\"ev\":\"unknown-event\"" with
-  | Error e ->
-      Alcotest.(check string) "journal parse kind" "parse"
-        (Error.kind_name e.Error.kind)
-  | Ok _ -> Alcotest.fail "bad journal line parsed");
   (* A missing database file is an empty database, not an error... *)
   (match Tir_autosched.Database.load_result "/nonexistent/dir/db.txt" with
   | Ok db -> Alcotest.(check int) "missing db empty" 0 (Tir_autosched.Database.size db)

@@ -1,5 +1,6 @@
-(* Causal tracing layer: context propagation, the determinism contract
-   (bit-identical event identities at jobs=1 and jobs=4), both export
+(* Causal tracing layer: context propagation, span nesting, the
+   determinism contract (bit-identical event identities at jobs=1 and
+   jobs=4, and the per-generation search record), both export
    formats and their validators, the stall watchdog, the telemetry
    exposition, and the analysis diagnostic counters. *)
 
@@ -52,7 +53,67 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "nothing recorded while off" 0
     (List.length (Trace.events ()))
 
+(* --- spans --- *)
+
+let test_span_nesting () =
+  let v =
+    Trace.with_ctx ~tenant:"t" (fun () ->
+        Trace.with_span "outer" (fun () -> Trace.with_span "inner" (fun () -> 42)))
+  in
+  Alcotest.(check int) "value returned" 42 v;
+  (* equal timestamps sort by identity, so find the spans by name *)
+  let span name = List.find (fun e -> e.Trace.e_name = name) (Trace.events ()) in
+  let outer = span "outer" and inner = span "inner" in
+  Alcotest.(check int) "two spans" 2 (Trace.counts ()).Trace.spans;
+  Alcotest.(check (list string)) "outer stack" [ "outer" ] outer.Trace.e_stack;
+  Alcotest.(check (list string)) "inner stack" [ "outer"; "inner" ] inner.Trace.e_stack;
+  Alcotest.(check bool) "inner within outer" true (inner.Trace.e_dur_us <= outer.Trace.e_dur_us);
+  Alcotest.(check bool) "self time excludes the child" true
+    (outer.Trace.e_self_us <= outer.Trace.e_dur_us -. inner.Trace.e_dur_us +. 1e-6)
+
+let test_span_recorded_on_raise () =
+  (try Trace.with_span "raising" (fun () -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check int) "span recorded despite raise" 1 (Trace.counts ()).Trace.spans
+
 (* --- determinism: identities at jobs=1 vs jobs=4 --- *)
+
+(* The search record every generation leaves on the trace. *)
+let funnel =
+  [ "gen"; "proposed"; "deduped"; "invalid"; "unsound"; "inapplicable"; "memo_hits";
+    "lookups"; "measured"; "mutations"; "crossovers"; "accepted"; "trials"; "best_us";
+    "rank_corr" ]
+
+(* The [gen.commit] instants of one run, and what they must agree with. *)
+let check_generations (r : Tir_autosched.Tune.result) =
+  let gens =
+    List.filter
+      (fun e -> e.Trace.e_kind = Trace.Instant && e.Trace.e_name = "gen.commit")
+      (Trace.events ())
+  in
+  Alcotest.(check bool) "one gen.commit per generation" true (gens <> []);
+  List.iter
+    (fun e ->
+      Alcotest.(check (list string)) "gen.commit carries the full funnel" funnel
+        (List.map fst e.Trace.e_args))
+    gens;
+  let arg e k = List.assoc k e.Trace.e_args in
+  let bests = List.map (fun e -> float_of_string (arg e "best_us")) gens in
+  ignore
+    (List.fold_left
+       (fun prev b ->
+         if Float.is_nan b then prev
+         else begin
+           if b > prev then Alcotest.failf "best_us rose from %h to %h" prev b;
+           b
+         end)
+       Float.infinity bests);
+  let last = List.nth gens (List.length gens - 1) in
+  Alcotest.(check int) "last gen.commit trials = stats.trials"
+    r.Tir_autosched.Tune.stats.Tir_autosched.Evolutionary.trials
+    (int_of_string (arg last "trials"));
+  Alcotest.(check string) "last gen.commit best is bit-equal to the result"
+    (Printf.sprintf "%h" (Tir_autosched.Tune.latency_us r))
+    (arg last "best_us")
 
 let test_identities_jobs_invariant () =
   let w =
@@ -62,19 +123,23 @@ let test_identities_jobs_invariant () =
   let run jobs =
     (* fresh process-wide state so neither run coasts on the other *)
     Tir_autosched.Eval.clear_caches ();
+    Tir_analysis.Analysis.clear_cache ();
     Metrics.reset ();
     Trace.reset ();
-    Trace.with_ctx ~tenant:"test" (fun () ->
-        ignore (Util.tune ~seed:7 ~trials:24 ~jobs gpu w));
-    Trace.identities ()
+    let r =
+      Trace.with_ctx ~tenant:"test" (fun () -> Util.tune ~seed:7 ~trials:24 ~jobs gpu w)
+    in
+    check_generations r;
+    (Trace.identities (), (Metrics.snapshot ()).Metrics.counters)
   in
-  let i1 = run 1 in
-  let i4 = run 4 in
+  let i1, c1 = run 1 in
+  let i4, c4 = run 4 in
   Alcotest.(check bool) "trace is non-empty" true (i1 <> []);
   Alcotest.(check int) "same event count" (List.length i1) (List.length i4);
   List.iter2
     (fun a b -> Alcotest.(check string) "identical event identity" a b)
-    i1 i4
+    i1 i4;
+  Alcotest.(check (list (pair string int))) "identical registry counters" c1 c4
 
 (* --- Chrome export + validator --- *)
 
@@ -239,6 +304,8 @@ let suite =
     Alcotest.test_case "ctx: events carry context" `Quick (traced test_events_carry_ctx);
     Alcotest.test_case "disabled: records nothing" `Quick
       (traced test_disabled_records_nothing);
+    Alcotest.test_case "span: nesting + self time" `Quick (traced test_span_nesting);
+    Alcotest.test_case "span: recorded on raise" `Quick (traced test_span_recorded_on_raise);
     Alcotest.test_case "identities: bit-identical at jobs=1/4" `Quick
       (traced test_identities_jobs_invariant);
     Alcotest.test_case "chrome: export validates" `Quick (traced test_chrome_export_valid);

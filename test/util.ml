@@ -72,7 +72,7 @@ let check_valid msg (f : Primfunc.t) =
 (* Optional-argument wrapper over the Config-based tuning API, so tests
    read like their call sites did before the redesign. *)
 let tune ?(seed = 42) ?(trials = 64) ?use_cost_model ?evolve ?sketches
-    ?database ?jobs ?journal target w =
+    ?database ?jobs target w =
   let open Tir_autosched.Tune.Config in
   let opt f v cfg = match v with Some v -> f v cfg | None -> cfg in
   let cfg =
@@ -82,6 +82,5 @@ let tune ?(seed = 42) ?(trials = 64) ?use_cost_model ?evolve ?sketches
     |> opt with_sketches sketches
     |> opt with_database database
     |> opt with_jobs jobs
-    |> opt with_journal journal
   in
   Tir_autosched.Tune.run cfg w target
