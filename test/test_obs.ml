@@ -1,12 +1,15 @@
 (* Observability subsystem: metrics registry, monotone clock, rank
-   correlation, and the text codecs (percent escaping and JSON strings)
-   every file format shares. *)
+   correlation, the text codecs (percent escaping and JSON strings)
+   every file format shares, the search journal (the [gen.commit]
+   record each generation leaves on the trace), and the determinism
+   contract (identical journal/counter content at jobs=1 and jobs=4). *)
 
 module Clock = Tir_obs.Clock
 module Metrics = Tir_obs.Metrics
 module Stat = Tir_obs.Stat
 module Percent = Tir_core.Percent
 module Json_min = Tir_obs.Json_min
+module Trace = Tir_obs.Trace
 module W = Tir_workloads.Workloads
 module Tune = Tir_autosched.Tune
 
@@ -145,6 +148,74 @@ let test_gflops_edges () =
        (fun l -> Float.is_finite (Tune.gflops (with_latency l)))
        [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -1.0; 5.0 ])
 
+(* --- the search journal, determinism across job counts --- *)
+
+(* What every generation commits to the trace, in this order. *)
+let funnel =
+  [ "gen"; "proposed"; "deduped"; "invalid"; "unsound"; "inapplicable"; "memo_hits";
+    "lookups"; "measured"; "mutations"; "crossovers"; "accepted"; "trials"; "best_us";
+    "rank_corr" ]
+
+(* The run's [gen.commit] instants in generation order, checked against
+   the result they must agree with. *)
+let journal (r : Tune.result) =
+  let arg e k = List.assoc k e.Trace.e_args in
+  let gens =
+    List.filter
+      (fun e -> e.Trace.e_kind = Trace.Instant && e.Trace.e_name = "gen.commit")
+      (Trace.events ())
+    |> List.sort (fun a b ->
+           compare (int_of_string (arg a "gen")) (int_of_string (arg b "gen")))
+  in
+  Alcotest.(check bool) "one gen.commit per generation" true (gens <> []);
+  List.iter
+    (fun e ->
+      Alcotest.(check (list string)) "gen.commit carries the full funnel" funnel
+        (List.map fst e.Trace.e_args))
+    gens;
+  ignore
+    (List.fold_left
+       (fun prev e ->
+         let b = float_of_string (arg e "best_us") in
+         if Float.is_nan b then prev
+         else begin
+           if b > prev then Alcotest.failf "best_us rose from %h to %h" prev b;
+           b
+         end)
+       Float.infinity gens);
+  let last = List.nth gens (List.length gens - 1) in
+  Alcotest.(check int) "last gen.commit trials = stats.trials"
+    r.Tune.stats.Tir_autosched.Evolutionary.trials
+    (int_of_string (arg last "trials"));
+  Alcotest.(check string) "last gen.commit best is bit-equal to the result"
+    (Printf.sprintf "%h" (Tune.latency_us r))
+    (arg last "best_us");
+  List.map (fun e -> e.Trace.e_args) gens
+
+let test_journal_identical_across_jobs () =
+  let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
+  let run jobs =
+    (* fresh process-wide state so neither run coasts on the other *)
+    Tir_autosched.Eval.clear_caches ();
+    Tir_analysis.Analysis.clear_cache ();
+    Metrics.reset ();
+    Trace.enable ();
+    Trace.reset ();
+    let j =
+      Fun.protect
+        ~finally:(fun () -> Trace.disable (); Trace.reset ())
+        (fun () -> journal (Util.tune ~seed:7 ~trials:24 ~jobs gpu w))
+    in
+    (j, (Metrics.snapshot ()).Metrics.counters)
+  in
+  let j1, c1 = run 1 in
+  let j4, c4 = run 4 in
+  Alcotest.(check int) "same journal length" (List.length j1) (List.length j4);
+  List.iter2
+    (fun a b -> Alcotest.(check (list (pair string string))) "identical gen.commit" a b)
+    j1 j4;
+  Alcotest.(check (list (pair string int))) "identical counters" c1 c4
+
 let test_rank_corr_gauge_set () =
   let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
   Tir_autosched.Eval.clear_caches ();
@@ -191,6 +262,8 @@ let suite =
     Alcotest.test_case "stat: spearman" `Quick test_spearman;
     Alcotest.test_case "codec: every byte roundtrips" `Quick test_codec_every_byte;
     Alcotest.test_case "tune: gflops edge cases" `Quick test_gflops_edges;
+    Alcotest.test_case "journal: identical at jobs=1/4" `Quick
+      test_journal_identical_across_jobs;
     Alcotest.test_case "metrics: rank-corr gauge after tuning" `Quick
       test_rank_corr_gauge_set;
     Alcotest.test_case "metrics: memo-hit-rate gauge after tuning" `Quick

@@ -1,8 +1,8 @@
 (* Causal tracing layer: context propagation, span nesting, the
    determinism contract (bit-identical event identities at jobs=1 and
-   jobs=4, and the per-generation search record), both export
-   formats and their validators, the stall watchdog, the telemetry
-   exposition, and the analysis diagnostic counters. *)
+   jobs=4), both export formats and their validators, the stall
+   watchdog, the telemetry exposition, and the analysis diagnostic
+   counters. *)
 
 module Trace = Tir_obs.Trace
 module Stall = Tir_obs.Stall
@@ -77,44 +77,6 @@ let test_span_recorded_on_raise () =
 
 (* --- determinism: identities at jobs=1 vs jobs=4 --- *)
 
-(* The search record every generation leaves on the trace. *)
-let funnel =
-  [ "gen"; "proposed"; "deduped"; "invalid"; "unsound"; "inapplicable"; "memo_hits";
-    "lookups"; "measured"; "mutations"; "crossovers"; "accepted"; "trials"; "best_us";
-    "rank_corr" ]
-
-(* The [gen.commit] instants of one run, and what they must agree with. *)
-let check_generations (r : Tir_autosched.Tune.result) =
-  let gens =
-    List.filter
-      (fun e -> e.Trace.e_kind = Trace.Instant && e.Trace.e_name = "gen.commit")
-      (Trace.events ())
-  in
-  Alcotest.(check bool) "one gen.commit per generation" true (gens <> []);
-  List.iter
-    (fun e ->
-      Alcotest.(check (list string)) "gen.commit carries the full funnel" funnel
-        (List.map fst e.Trace.e_args))
-    gens;
-  let arg e k = List.assoc k e.Trace.e_args in
-  let bests = List.map (fun e -> float_of_string (arg e "best_us")) gens in
-  ignore
-    (List.fold_left
-       (fun prev b ->
-         if Float.is_nan b then prev
-         else begin
-           if b > prev then Alcotest.failf "best_us rose from %h to %h" prev b;
-           b
-         end)
-       Float.infinity bests);
-  let last = List.nth gens (List.length gens - 1) in
-  Alcotest.(check int) "last gen.commit trials = stats.trials"
-    r.Tir_autosched.Tune.stats.Tir_autosched.Evolutionary.trials
-    (int_of_string (arg last "trials"));
-  Alcotest.(check string) "last gen.commit best is bit-equal to the result"
-    (Printf.sprintf "%h" (Tir_autosched.Tune.latency_us r))
-    (arg last "best_us")
-
 let test_identities_jobs_invariant () =
   let w =
     W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128
@@ -126,20 +88,17 @@ let test_identities_jobs_invariant () =
     Tir_analysis.Analysis.clear_cache ();
     Metrics.reset ();
     Trace.reset ();
-    let r =
-      Trace.with_ctx ~tenant:"test" (fun () -> Util.tune ~seed:7 ~trials:24 ~jobs gpu w)
-    in
-    check_generations r;
-    (Trace.identities (), (Metrics.snapshot ()).Metrics.counters)
+    Trace.with_ctx ~tenant:"test" (fun () ->
+        ignore (Util.tune ~seed:7 ~trials:24 ~jobs gpu w));
+    Trace.identities ()
   in
-  let i1, c1 = run 1 in
-  let i4, c4 = run 4 in
+  let i1 = run 1 in
+  let i4 = run 4 in
   Alcotest.(check bool) "trace is non-empty" true (i1 <> []);
   Alcotest.(check int) "same event count" (List.length i1) (List.length i4);
   List.iter2
     (fun a b -> Alcotest.(check string) "identical event identity" a b)
-    i1 i4;
-  Alcotest.(check (list (pair string int))) "identical registry counters" c1 c4
+    i1 i4
 
 (* --- Chrome export + validator --- *)
 
