@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-diff perf-smoke crash-smoke serve-smoke trace-smoke lint legality-smoke check clean
+.PHONY: all build test bench bench-smoke bench-diff perf-smoke perfbench-smoke crash-smoke serve-smoke trace-smoke lint legality-smoke check clean
 
 all: build
 
@@ -40,6 +40,13 @@ bench-diff: build
 perf-smoke: build
 	BENCH_ONLY=hotpath dune exec bench/main.exe -- --check
 	dune exec tools/validate_bench.exe BENCH_results.json BENCH_baseline.json
+
+# One full-scale unit of the repo benchmark (perfbench/), untraced: a
+# serve-mixed run of two job queues and its whole output check (database
+# replay, trace validator, analyzer and interpreter on every emitted
+# program). Exits non-zero when the build or any check fails.
+perfbench-smoke: build
+	python3 perfbench/run.py --workload serve-mixed --seed 1 --seconds 12 --trace 0
 
 # Kill-and-resume smoke test of the session layer through the CLI: a tune
 # halted after one committed generation must exit 8, report as resumable,
@@ -149,15 +156,16 @@ legality-smoke: build
 	rm -rf /tmp/tir_lint_clean.json /tmp/tir_lint_illegal.json /tmp/tir_lint_tab
 
 # The full pre-merge gate: build, unit + property tests, lint, bench smoke
-# run (+ the regression diff against the committed snapshot),
-# kill-and-resume smoke run, multi-tenant serve smoke run, and the
-# tracing/telemetry smoke run.
+# run (+ the regression diff against the committed snapshot), one
+# full-scale perfbench unit, kill-and-resume smoke run, multi-tenant serve
+# smoke run, and the tracing/telemetry smoke run.
 check: build
 	dune runtest
 	$(MAKE) lint
 	$(MAKE) legality-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-diff
+	$(MAKE) perfbench-smoke
 	$(MAKE) crash-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke

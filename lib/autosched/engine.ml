@@ -128,6 +128,13 @@ let m_unmeasurable = Metrics.counter "search.unmeasurable"
 let m_rank_corr = Metrics.gauge "costmodel.rank_corr"
 let m_memo_rate = Metrics.gauge "search.memo_hit_rate"
 
+(* The eval and measure memos' registry counters, which the same metrics
+   dump reports beside the gauge. *)
+let m_memo_hits = [ Metrics.counter "memo.eval.hits"; Metrics.counter "memo.measure.hits" ]
+
+let m_memo_misses =
+  [ Metrics.counter "memo.eval.misses"; Metrics.counter "memo.measure.misses" ]
+
 (* Per-generation tallies, reset each round. *)
 type gen_tally = {
   mutable g_proposed : int;
@@ -487,16 +494,18 @@ let finish_generation t =
   Metrics.add m_unmeasurable tl.g_unmeasurable;
   Metrics.incr m_generations;
   Metrics.set m_rank_corr cum_rank_corr;
-  (* The gauge carries the cumulative process-wide memo hit rate (from
-     the memo atomics — deterministic at any job count). It used to be
-     set to the per-generation rate, whose final write — the empty
-     exhausted/committing generation, zero probes — pinned the reported
-     value at 0.0 (the ROADMAP's "memo_hit_rate gauge reads 0" bug). The
-     per-generation hits and lookups go on the trace below. *)
-  (let s = Eval.cache_stats () in
-   let probes = s.Eval.hits + s.Eval.misses in
+  (* The gauge carries the cumulative process-wide memo hit rate, from
+     the registry counters (integers — deterministic at any job count),
+     so it agrees with the [memo.eval.*] and [memo.measure.*] counters in
+     the same dump; [Eval.clear_caches] does not reset those. It is only
+     written when there were probes: the final, empty generation must
+     not pin it at 0.0. The per-generation hits and lookups go on the
+     trace below. *)
+  (let sum = List.fold_left (fun acc c -> acc + Metrics.counter_value c) 0 in
+   let hits = sum m_memo_hits in
+   let probes = hits + sum m_memo_misses in
    if probes > 0 then
-     Metrics.set m_memo_rate (float_of_int s.Eval.hits /. float_of_int probes));
+     Metrics.set m_memo_rate (float_of_int hits /. float_of_int probes));
   (* Trace the generation boundary: a deterministic instant whose identity
      carries the generation's funnel, plus counter tracks for the
      Perfetto view. *)

@@ -181,15 +181,6 @@ let measure_cached ?(retry = Tir_parallel.Retry.default) ~key ~target f =
   | outcome -> outcome
   | exception Tir_parallel.Retry.Exhausted _ -> (false, Unmeasurable)
 
-type cache_stats = { hits : int; misses : int; entries : int }
-
-let cache_stats () =
-  {
-    hits = Memo.hits eval_cache + Memo.hits measure_cache;
-    misses = Memo.misses eval_cache + Memo.misses measure_cache;
-    entries = Memo.length eval_cache + Memo.length measure_cache;
-  }
-
 (** Drop every cached evaluation and measurement (tests; fresh-process
     comparisons). *)
 let clear_caches () =

@@ -68,11 +68,7 @@ val measure_cached :
   Tir_ir.Primfunc.t ->
   bool * measurement
 
-type cache_stats = { hits : int; misses : int; entries : int }
-
-(** Combined counters over both caches (bench reporting and the
-    cumulative [search.memo_hit_rate] gauge). *)
-val cache_stats : unit -> cache_stats
-
-(** Drop every cached entry and reset the counters. *)
+(** Drop every cached entry and reset the tables' own hit/miss counts.
+    The registry counters ([memo.eval.*], [memo.measure.*]) keep
+    counting. *)
 val clear_caches : unit -> unit

@@ -1,10 +1,12 @@
 (** Gradient-boosted regression trees, from scratch.
 
     Stand-in for the XGBoost model the paper uses (§4.4): gradient
-    boosting over depth-limited exact-greedy regression trees, with two
-    objectives — squared-loss regression ([fit]) and a LambdaRank-style
-    pairwise rank loss ([fit_rank]). Training sets during tuning are small
-    (hundreds of samples), so exact split enumeration is cheap. *)
+    boosting over depth-limited regression trees, with two objectives —
+    squared-loss regression ([fit]) and a LambdaRank-style pairwise rank
+    loss ([fit_rank]). Trees are grown by the presorted exact greedy
+    split finder of XGBoost (Chen & Guestrin, KDD 2016): every threshold
+    between adjacent distinct feature values is tried, and each feature
+    is sorted once per fit rather than once per node. *)
 
 type tree = Leaf of float | Node of { feat : int; thresh : float; left : tree; right : tree }
 
@@ -37,86 +39,158 @@ let predict_batch model (xs : float array array) : float array =
     model.trees;
   out
 
-let mean arr idx =
-  if idx = [] then 0.0
-  else
-    List.fold_left (fun acc i -> acc +. arr.(i)) 0.0 idx /. float_of_int (List.length idx)
+(* --- the presorted exact greedy trainer ----------------------------------
 
-(* Best split of [idx] on squared error; returns (feat, thresh, gain). *)
-let best_split (xs : float array array) (residual : float array) idx =
-  let n = List.length idx in
+   Each feature's sample indices are sorted once per fit, stably, so ties
+   stay in index order. A node owns the slice [lo, hi) of every order;
+   splitting it partitions each slice stably, so both children stay
+   sorted without another sort. One more order lists the node's indices
+   ascending: node sums and leaf means are taken in that order. Every
+   sum, gain and first-best tie-break is thus a function of the ordered
+   samples alone. *)
+
+type trainer = {
+  cols : float array array;  (** feature -> sample -> value *)
+  sorted : int array array;  (** per-feature orders of the root, then [0..n-1] *)
+  order : int array array;  (** working copy, partitioned as the tree grows *)
+  goes_left : bool array;  (** per sample: side of the current split *)
+  scratch : int array;  (** right-hand half during a partition *)
+}
+
+let trainer (xs : float array array) =
+  let n = Array.length xs in
+  let nfeat = Array.length xs.(0) in
+  let cols = Array.init nfeat (fun f -> Array.init n (fun i -> xs.(i).(f))) in
+  let sorted =
+    Array.init (nfeat + 1) (fun f ->
+        let ord = Array.init n Fun.id in
+        if f < nfeat then
+          Array.stable_sort (fun a b -> Float.compare cols.(f).(a) cols.(f).(b)) ord;
+        ord)
+  in
+  {
+    cols;
+    sorted;
+    order = Array.map Array.copy sorted;
+    goes_left = Array.make n false;
+    scratch = Array.make n 0;
+  }
+
+let by_index t = t.order.(Array.length t.cols)
+
+let slice_sum t (residual : float array) lo hi =
+  let ord = by_index t in
+  let sum = ref 0.0 in
+  for p = lo to hi - 1 do
+    sum := !sum +. residual.(ord.(p))
+  done;
+  !sum
+
+let slice_mean t residual lo hi =
+  if hi = lo then 0.0 else slice_sum t residual lo hi /. float_of_int (hi - lo)
+
+(* Best split of the node [lo, hi) on squared error; returns
+   (feat, thresh, gain). Candidate thresholds are midpoints between
+   adjacent distinct values; the first best wins. *)
+let best_split t (residual : float array) lo hi =
+  let n = hi - lo in
   if n < 4 then None
   else begin
-    let total = List.fold_left (fun acc i -> acc +. residual.(i)) 0.0 idx in
+    let total = slice_sum t residual lo hi in
     let best = ref None in
-    let nfeat = Array.length xs.(0) in
-    for f = 0 to nfeat - 1 do
-      let sorted =
-        List.sort (fun a b -> Float.compare xs.(a).(f) xs.(b).(f)) idx
-      in
-      let left_sum = ref 0.0 and left_n = ref 0 in
-      let rec go = function
-        | [] | [ _ ] -> ()
-        | i :: (j :: _ as rest) ->
-            left_sum := !left_sum +. residual.(i);
-            incr left_n;
-            if xs.(i).(f) < xs.(j).(f) then begin
-              let right_sum = total -. !left_sum in
-              let right_n = n - !left_n in
-              let gain =
-                (!left_sum *. !left_sum /. float_of_int !left_n)
-                +. (right_sum *. right_sum /. float_of_int right_n)
-                -. (total *. total /. float_of_int n)
-              in
-              let thresh = (xs.(i).(f) +. xs.(j).(f)) /. 2.0 in
-              match !best with
-              | Some (_, _, g) when g >= gain -> ()
-              | _ -> best := Some (f, thresh, gain)
-            end;
-            go rest
-      in
-      go sorted
-    done;
+    Array.iteri
+      (fun f col ->
+        let ord = t.order.(f) in
+        let left_sum = ref 0.0 in
+        for p = lo to hi - 2 do
+          let i = ord.(p) and j = ord.(p + 1) in
+          left_sum := !left_sum +. residual.(i);
+          if col.(i) < col.(j) then begin
+            let left_n = p - lo + 1 in
+            let right_sum = total -. !left_sum in
+            let right_n = n - left_n in
+            let gain =
+              (!left_sum *. !left_sum /. float_of_int left_n)
+              +. (right_sum *. right_sum /. float_of_int right_n)
+              -. (total *. total /. float_of_int n)
+            in
+            let thresh = (col.(i) +. col.(j)) /. 2.0 in
+            match !best with
+            | Some (_, _, g) when g >= gain -> ()
+            | _ -> best := Some (f, thresh, gain)
+          end
+        done)
+      t.cols;
     !best
   end
 
-let rec fit_tree xs residual idx depth =
-  if depth = 0 then Leaf (mean residual idx)
+(* Stable in-place partition of [ord]'s slice [lo, hi) by [goes_left]. *)
+let partition t ord lo hi =
+  let w = ref lo and r = ref 0 in
+  for p = lo to hi - 1 do
+    let i = ord.(p) in
+    if t.goes_left.(i) then begin
+      ord.(!w) <- i;
+      incr w
+    end
+    else begin
+      t.scratch.(!r) <- i;
+      incr r
+    end
+  done;
+  Array.blit t.scratch 0 ord !w !r
+
+let rec grow t residual lo hi depth =
+  let leaf () = Leaf (slice_mean t residual lo hi) in
+  if depth = 0 then leaf ()
   else
-    match best_split xs residual idx with
-    | None -> Leaf (mean residual idx)
+    match best_split t residual lo hi with
+    | None -> leaf ()
     | Some (feat, thresh, gain) ->
-        if gain < 1e-9 then Leaf (mean residual idx)
-        else
-          let left, right = List.partition (fun i -> xs.(i).(feat) <= thresh) idx in
-          if left = [] || right = [] then Leaf (mean residual idx)
-          else
-            Node
-              {
-                feat;
-                thresh;
-                left = fit_tree xs residual left (depth - 1);
-                right = fit_tree xs residual right (depth - 1);
-              }
+        if gain < 1e-9 then leaf ()
+        else begin
+          let col = t.cols.(feat) and ord = by_index t in
+          let n_left = ref 0 in
+          for p = lo to hi - 1 do
+            let i = ord.(p) in
+            let l = col.(i) <= thresh in
+            t.goes_left.(i) <- l;
+            if l then incr n_left
+          done;
+          if !n_left = 0 || !n_left = hi - lo then leaf ()
+          else begin
+            Array.iter (fun ord -> partition t ord lo hi) t.order;
+            let mid = lo + !n_left in
+            let left = grow t residual lo mid (depth - 1) in
+            let right = grow t residual mid hi (depth - 1) in
+            Node { feat; thresh; left; right }
+          end
+        end
+
+(* Boosting loop shared by both objectives: [pseudo pred] returns the
+   pseudo-residuals the next tree fits, given the current predictions. *)
+let boost ~rounds ~depth ~eta ~base xs pseudo =
+  let n = Array.length xs in
+  let t = trainer xs in
+  let pred = Array.make n base in
+  let trees = ref [] in
+  for _ = 1 to rounds do
+    Array.iteri (fun f s -> Array.blit s 0 t.order.(f) 0 n) t.sorted;
+    let tree = grow t (pseudo pred) 0 n depth in
+    trees := tree :: !trees;
+    Array.iteri (fun i _ -> pred.(i) <- pred.(i) +. (eta *. predict_tree tree xs.(i))) pred
+  done;
+  { trees = List.rev !trees; eta; base }
 
 (** Fit [rounds] boosting rounds of depth-[depth] trees. *)
 let fit ?(rounds = 40) ?(depth = 3) ?(eta = 0.3) (xs : float array array)
     (ys : float array) : t =
   let n = Array.length xs in
   if n = 0 then { trees = []; eta; base = 0.0 }
-  else begin
+  else
     let base = Array.fold_left ( +. ) 0.0 ys /. float_of_int n in
-    let pred = Array.make n base in
-    let idx = List.init n (fun i -> i) in
-    let trees = ref [] in
-    for _ = 1 to rounds do
-      let residual = Array.init n (fun i -> ys.(i) -. pred.(i)) in
-      let tree = fit_tree xs residual idx depth in
-      trees := tree :: !trees;
-      Array.iteri (fun i _ -> pred.(i) <- pred.(i) +. (eta *. predict_tree tree xs.(i))) pred
-    done;
-    { trees = List.rev !trees; eta; base }
-  end
+    boost ~rounds ~depth ~eta ~base xs (fun pred ->
+        Array.init n (fun i -> ys.(i) -. pred.(i)))
 
 (** Fit a LambdaRank-style pairwise ranking ensemble.
 
@@ -135,41 +209,38 @@ let fit ?(rounds = 40) ?(depth = 3) ?(eta = 0.3) (xs : float array array)
 let fit_rank ?(rounds = 40) ?(depth = 3) ?(eta = 0.3)
     (xs : float array array) (ys : float array) ~(groups : int array) : t =
   let n = Array.length xs in
-  if n = 0 then { trees = []; eta; base = 0.0 }
-  else begin
-    (* Pairs are enumerated once: (winner, loser, label gap). *)
-    let pairs = ref [] in
+  (* Pairs are enumerated once into flat arrays — winner, loser, label
+     gap — and walked last-enumerated-first each round. *)
+  let each_pair f =
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        if groups.(i) = groups.(j) && ys.(i) <> ys.(j) then begin
-          let hi, lo = if ys.(i) > ys.(j) then (i, j) else (j, i) in
-          pairs := (hi, lo, ys.(hi) -. ys.(lo)) :: !pairs
-        end
+        if groups.(i) = groups.(j) && ys.(i) <> ys.(j) then f i j
       done
-    done;
-    let pairs = !pairs in
-    if pairs = [] then { trees = []; eta; base = 0.0 }
-    else begin
-      let pred = Array.make n 0.0 in
-      let idx = List.init n (fun i -> i) in
-      let lambda = Array.make n 0.0 in
-      let trees = ref [] in
-      for _ = 1 to rounds do
+    done
+  in
+  let n_pairs = ref 0 in
+  each_pair (fun _ _ -> incr n_pairs);
+  if !n_pairs = 0 then { trees = []; eta; base = 0.0 }
+  else begin
+    let win = Array.make !n_pairs 0 and lose = Array.make !n_pairs 0 in
+    let gap = Array.make !n_pairs 0.0 in
+    let k = ref 0 in
+    each_pair (fun i j ->
+        let hi, lo = if ys.(i) > ys.(j) then (i, j) else (j, i) in
+        win.(!k) <- hi;
+        lose.(!k) <- lo;
+        gap.(!k) <- ys.(hi) -. ys.(lo);
+        incr k);
+    let lambda = Array.make n 0.0 in
+    boost ~rounds ~depth ~eta ~base:0.0 xs (fun pred ->
         Array.fill lambda 0 n 0.0;
-        List.iter
-          (fun (hi, lo, w) ->
-            let rho = 1.0 /. (1.0 +. exp (pred.(hi) -. pred.(lo))) in
-            lambda.(hi) <- lambda.(hi) +. (w *. rho);
-            lambda.(lo) <- lambda.(lo) -. (w *. rho))
-          pairs;
-        let tree = fit_tree xs lambda idx depth in
-        trees := tree :: !trees;
-        Array.iteri
-          (fun i _ -> pred.(i) <- pred.(i) +. (eta *. predict_tree tree xs.(i)))
-          pred
-      done;
-      { trees = List.rev !trees; eta; base = 0.0 }
-    end
+        for k = !n_pairs - 1 downto 0 do
+          let hi = win.(k) and lo = lose.(k) and w = gap.(k) in
+          let rho = 1.0 /. (1.0 +. exp (pred.(hi) -. pred.(lo))) in
+          lambda.(hi) <- lambda.(hi) +. (w *. rho);
+          lambda.(lo) <- lambda.(lo) -. (w *. rho)
+        done;
+        lambda)
   end
 
 (* --- serialization ------------------------------------------------------ *)

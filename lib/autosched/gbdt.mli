@@ -1,7 +1,9 @@
 (** Gradient-boosted regression trees, from scratch: the stand-in for the
-    paper's XGBoost cost model (§4.4). Depth-limited exact-greedy trees
-    under either a squared loss ([fit]) or a LambdaRank-style pairwise
-    rank loss ([fit_rank]). *)
+    paper's XGBoost cost model (§4.4). Depth-limited trees under either a
+    squared loss ([fit]) or a LambdaRank-style pairwise rank loss
+    ([fit_rank]), grown by the presorted exact greedy split finder: each
+    feature is sorted once per fit, and every threshold between adjacent
+    distinct values is tried. *)
 
 type tree
 

@@ -13,10 +13,11 @@
     latency-regression model rank worse than random.
 
     Models serialize to a versioned percent-escaped text format (like the
-    session WAL): the full sample set plus the fitted ensemble, [%h]
-    floats throughout, so [save -> load -> save] is bit-identical and a
-    loaded model can keep training. [Store] maintains one such file
-    alongside a trace database and merges finished runs into it. *)
+    session WAL): the full sample set plus the fitted ensemble, if any,
+    [%h] floats throughout, so [save -> load -> save] is bit-identical
+    and a loaded model can keep training. [Store] maintains one such
+    file, samples only, alongside a trace database, merges finished runs
+    into it, and fits it once per load. *)
 
 type stats = {
   samples : int;  (** measurement samples accumulated *)
@@ -339,12 +340,18 @@ module Store = struct
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
-  let load path =
+  let parse path =
     if Sys.file_exists path then
       match load (read_file path) with
       | m -> Some m
       | exception Parse_error _ -> None
     else None
+
+  (* The file holds samples only; the one fit of a load happens here. *)
+  let load path =
+    let m = parse path in
+    Option.iter retrain m;
+    m
 
   (* Atomic publish: a crashed writer never leaves a torn store. *)
   let save ~path model =
@@ -356,7 +363,6 @@ module Store = struct
     Sys.rename tmp path
 
   let absorb ~path model =
-    let base = match load path with Some m -> m | None -> gbdt () in
     (* A warm-started run's model carries the store's own samples; exact
        dedup keeps re-absorbing them from doubling the store. Identical
        programs measured in different runs produce bit-identical
@@ -369,15 +375,21 @@ module Store = struct
       Array.iter (fun f -> Buffer.add_string b (Printf.sprintf "|%h" f)) features;
       Buffer.contents b
     in
-    iter_samples base (fun ~group ~features ~latency_us ->
-        Hashtbl.replace seen (key ~group ~features ~latency_us) ());
+    (* The merge is untrained: [load] fits the samples it finds, and the
+       ensemble is a function of the ordered samples alone. *)
+    let merged = gbdt () in
+    Option.iter
+      (fun stored ->
+        iter_samples stored (fun ~group ~features ~latency_us ->
+            Hashtbl.replace seen (key ~group ~features ~latency_us) ();
+            add merged ~group ~features ~latency_us))
+      (parse path);
     iter_samples model (fun ~group ~features ~latency_us ->
         let k = key ~group ~features ~latency_us in
         if not (Hashtbl.mem seen k) then begin
           Hashtbl.replace seen k ();
-          add base ~group ~features ~latency_us
+          add merged ~group ~features ~latency_us
         end);
-    retrain base;
-    save ~path base;
-    base
+    save ~path merged;
+    merged
 end

@@ -93,20 +93,25 @@ val spec_to_string : spec -> string
 
 val spec_of_string : string -> spec
 
-(** The persisted model store: one snapshot file maintained alongside a
+(** The persisted model store: one sample file maintained alongside a
     trace database. [absorb] merges a finished run's samples into the
-    store, refits, and atomically republishes (tmp + rename) — the
-    cross-workload transfer loop of [tensorir serve]. *)
+    store and atomically republishes it (tmp + rename) without
+    training; [load] fits the stored samples once. This is the
+    cross-workload transfer loop of [tensorir serve]. The ensemble is a
+    function of the ordered samples alone, so a loaded store is the
+    model an eager refit after every absorb would have produced. *)
 module Store : sig
-  (** [None] when the file does not exist or does not parse (a corrupt
-      store degrades to a cold start, never a crash). *)
+  (** Parse the store and fit it once. [None] when the file does not
+      exist or does not parse (a corrupt store degrades to a cold start,
+      never a crash). *)
   val load : string -> t option
 
   val save : path:string -> t -> unit
 
-  (** Merge [model]'s samples into the store at [path], retrain, save;
-      returns the merged model. Exact-duplicate samples are dropped, so
-      absorbing a model that was itself warm-started from this store
+  (** Merge [model]'s samples into the samples stored at [path] and save
+      the result, untrained, so the file holds samples only; returns
+      that untrained merged model. Exact-duplicate samples are dropped,
+      so absorbing a model that was itself warm-started from this store
       never double-counts the store's own history. *)
   val absorb : path:string -> t -> t
 end

@@ -451,9 +451,10 @@ let serve (cfg : config) : outcome =
        tenant (or the next server process) replays this result for
        free. *)
     Database.save db (db_file queue);
-    (* And fold the run's trained cost model into the shared store — the
-       next server process warm-starts every fresh session from it
-       (database replays return [model = None]: nothing new learned). *)
+    (* And fold the run's cost-model samples into the shared store — the
+       next server process fits it once and warm-starts every fresh
+       session from it (database replays return [model = None]: nothing
+       new learned). *)
     Option.iter
       (fun m -> ignore (Model.Store.absorb ~path:(model_file queue) m))
       r.Tune.model;

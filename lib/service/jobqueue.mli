@@ -31,11 +31,13 @@
     shared database, so a later job with an already-solved workload
     replays the stored trace ([db.replayed]) instead of searching.
 
-    Completed jobs also fold their trained cost model into [model.txt]
-    ({!Tir_autosched.Model.Store.absorb}); at startup the server reads
-    the store once and warm-starts every fresh session from it
-    ([Model.Warm] spec, recorded in the session's WAL meta — so
-    kill+resume never depends on the moving store file).
+    Completed jobs also fold their cost model's samples into
+    [model.txt] ({!Tir_autosched.Model.Store.absorb}), which holds
+    samples only and is not retrained per job. At startup the server
+    loads the store once, fitting it once, and warm-starts every fresh
+    session from that model ([Model.Warm] spec, recorded in the
+    session's WAL meta — so kill+resume never depends on the moving
+    store file).
 
     Metrics: [serve.jobs_started], [serve.jobs_adopted],
     [serve.jobs_done], [serve.jobs_failed]. *)

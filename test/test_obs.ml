@@ -251,6 +251,31 @@ let test_memo_hit_rate_gauge_set () =
         true
         (v > 0.0 && v <= 1.0)
 
+let test_memo_hit_rate_gauge_matches_counters () =
+  (* Regression: the gauge was computed from the memo tables' own counts,
+     which [Eval.clear_caches] resets, while the registry counters that
+     the same dump reports keep counting — a bench dump showed the gauge
+     at 0.0 beside tens of thousands of [memo.eval.hits]. *)
+  let gmm = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
+  let other = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:64 ~n:256 ~k:64 () in
+  Tir_autosched.Eval.clear_caches ();
+  Metrics.reset ();
+  ignore (Util.tune ~seed:3 ~trials:12 gpu gmm);
+  ignore (Util.tune ~seed:3 ~trials:12 gpu gmm);
+  Tir_autosched.Eval.clear_caches ();
+  ignore (Util.tune ~seed:3 ~trials:12 gpu other);
+  let snap = Metrics.snapshot () in
+  let counter name = Option.value ~default:0 (Metrics.find_counter snap name) in
+  let hits = counter "memo.eval.hits" + counter "memo.measure.hits" in
+  let probes = hits + counter "memo.eval.misses" + counter "memo.measure.misses" in
+  Alcotest.(check bool) "the repeated run hit the memo" true (hits > 0);
+  match Metrics.find_gauge snap "search.memo_hit_rate" with
+  | None -> Alcotest.fail "memo-hit-rate gauge missing"
+  | Some v ->
+      Alcotest.(check (float 0.0)) "gauge = registry hits / probes"
+        (float_of_int hits /. float_of_int probes)
+        v
+
 let suite =
   [
     Alcotest.test_case "clock: monotone" `Quick test_clock_monotone;
@@ -268,4 +293,6 @@ let suite =
       test_rank_corr_gauge_set;
     Alcotest.test_case "metrics: memo-hit-rate gauge after tuning" `Quick
       test_memo_hit_rate_gauge_set;
+    Alcotest.test_case "metrics: memo-hit-rate gauge agrees with counters" `Quick
+      test_memo_hit_rate_gauge_matches_counters;
   ]
