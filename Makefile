@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-diff perf-smoke perfbench-smoke crash-smoke serve-smoke trace-smoke lint legality-smoke check clean
+.PHONY: all build test bench bench-smoke perfbench-smoke crash-smoke serve-smoke trace-smoke lint legality-smoke check clean
 
 all: build
 
@@ -8,45 +8,31 @@ build:
 test: build
 	dune runtest
 
-# Full benchmark sweep (figures 8-14, table 1, ablation, microbench).
-# TIR_JOBS controls the evaluation pool size (default: all cores).
+# Full benchmark sweep (figures 8-14, table 1, ablations and the search
+# infrastructure sections). TIR_JOBS controls the evaluation pool size
+# (default: all cores).
 bench: build
 	dune exec bench/main.exe
 
-# Fast smoke run: truncated workload set and trial budgets, plus --check,
-# which exits non-zero if any reported latency is non-finite or <= 0; the
-# emitted BENCH_results.json is then validated against schema 9, including
-# the hot-path perf gate against the committed pre-refactor baseline and
-# the cost-model rank-correlation floor.
+# Fast bench run (truncated workload set and trial budgets), then the
+# row-by-row gate against the committed baseline: each row of
+# BENCH_results.json declares its gate (exact, floor or ceiling), and no
+# row may appear, vanish, change its gate or be null. The last leg is the
+# gate's self-test: with every row pushed past its gate it must fail.
 bench-smoke: build
-	BENCH_FAST=1 dune exec bench/main.exe -- --check
-	dune exec tools/validate_bench.exe BENCH_results.json BENCH_baseline.json
+	BENCH_FAST=1 dune exec bench/main.exe
+	dune exec tools/bench_check.exe -- BENCH_results.json BENCH_check_baseline.json
+	! dune exec tools/bench_check.exe -- BENCH_results.json \
+	  BENCH_check_baseline.json --inject-regression 2>/dev/null
 
-# Regression gate between the freshly-emitted BENCH_results.json (from
-# bench-smoke, which `check` runs first) and the committed smoke-run
-# snapshot: schema-aware per-metric tolerances (throughput floors, hit
-# rates, busy_frac, per-row latencies/GFLOPS). The second leg asserts
-# the gate itself: with an injected regression it must exit non-zero.
-bench-diff: build
-	dune exec tools/bench_diff.exe -- BENCH_results.json BENCH_diff_baseline.json
-	! dune exec tools/bench_diff.exe -- BENCH_results.json \
-	  BENCH_diff_baseline.json --inject-regression 2>/dev/null
-
-# Hot-path perf gate alone: rerun the legacy-vs-optimized pipeline
-# comparison (full proposal stream — BENCH_ONLY skips the figure sweeps,
-# not the stream) and enforce BENCH_baseline.json: bit-identical
-# classification tallies, live speedup >= floor_speedup, optimized
-# throughput >= floor_candidates_per_s.
-perf-smoke: build
-	BENCH_ONLY=hotpath dune exec bench/main.exe -- --check
-	dune exec tools/validate_bench.exe BENCH_results.json BENCH_baseline.json
-
-# One full-scale unit of the repo benchmark (perfbench/), untraced: a
-# serve-mixed run of two job queues and its whole output check (database
-# replay, trace validator, analyzer and interpreter on every emitted
-# program). Exits non-zero when the build or any check fails.
+# Two full-scale units of the repo benchmark (perfbench/), untraced, each
+# with its whole output check: a serve-mixed run of two job queues, and a
+# zoo-compile run of Fig 12's 50 GPU tasks (database round trip, trace
+# replay, validator and analyzer on every delivered best, the interpreter
+# on small instances). Exits non-zero when the build or any check fails.
 perfbench-smoke: build
 	python3 perfbench/run.py --workload serve-mixed --seed 1 --seconds 12 --trace 0
+	python3 perfbench/run.py --workload zoo-compile --seed 1 --seconds 12 --trace 0
 
 # Kill-and-resume smoke test of the session layer through the CLI: a tune
 # halted after one committed generation must exit 8, report as resumable,
@@ -156,15 +142,14 @@ legality-smoke: build
 	rm -rf /tmp/tir_lint_clean.json /tmp/tir_lint_illegal.json /tmp/tir_lint_tab
 
 # The full pre-merge gate: build, unit + property tests, lint, bench smoke
-# run (+ the regression diff against the committed snapshot), one
-# full-scale perfbench unit, kill-and-resume smoke run, multi-tenant serve
-# smoke run, and the tracing/telemetry smoke run.
+# run (gated row by row against the committed baseline), two full-scale
+# perfbench units, kill-and-resume smoke run, multi-tenant serve smoke
+# run, and the tracing/telemetry smoke run.
 check: build
 	dune runtest
 	$(MAKE) lint
 	$(MAKE) legality-smoke
 	$(MAKE) bench-smoke
-	$(MAKE) bench-diff
 	$(MAKE) perfbench-smoke
 	$(MAKE) crash-smoke
 	$(MAKE) serve-smoke

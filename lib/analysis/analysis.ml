@@ -10,9 +10,9 @@
     Results are memoized per structural fingerprint
     ({!Tir_ir.Fingerprint.func}): the search evaluates many schedules that
     lower to structurally identical functions, and analysis is pure, so a
-    fingerprint hit can return the cached diagnostics. Set
-    [TIR_ANALYSIS_CACHE=0] (or call [set_cache_enabled false]) to disable
-    — used by benchmarks to measure the uncached path. *)
+    fingerprint hit can return the cached diagnostics. The cache is on by
+    default; tests call [set_cache_enabled false] for their uncached
+    reference runs. *)
 
 open Tir_ir
 module Metrics = Tir_obs.Metrics
@@ -43,11 +43,7 @@ let count_kind ds kind =
 let race_memo : Diagnostic.t list Memo.t = Memo.create ~name:"analysis.race" ()
 let full_memo : Diagnostic.t list Memo.t = Memo.create ~name:"analysis.full" ()
 
-let cache_flag =
-  ref
-    (match Sys.getenv_opt "TIR_ANALYSIS_CACHE" with
-    | Some "0" -> false
-    | Some _ | None -> true)
+let cache_flag = ref true
 
 let cache_enabled () = !cache_flag
 let set_cache_enabled b = cache_flag := b

@@ -1,8 +1,8 @@
 (** Semantic static analysis over [Primfunc.t]: data-race detection,
     region-soundness checking, and bounds proving. Results are memoized
-    per structural fingerprint; [TIR_ANALYSIS_CACHE=0] disables the
-    cache. Counters are recorded per call (cache hits included), so
-    totals are identical with the cache on or off and at any [TIR_JOBS]. *)
+    per structural fingerprint (on by default; see {!set_cache_enabled}).
+    Counters are recorded per call (cache hits included), so totals are
+    identical with the cache on or off and at any [TIR_JOBS]. *)
 
 open Tir_ir
 

@@ -1,8 +1,8 @@
-(* Minimal JSON codec: the one string escaper every JSON writer uses, and
-   a recursive-descent parser shared by the bench validators
-   (tools/validate_bench, tools/validate_trace, tools/bench_diff), the
-   trace report and the export-validity tests. Stdlib only — the repo
-   deliberately carries no JSON dependency. *)
+(* Minimal JSON codec: the one string escaper and number writer every
+   JSON writer uses, and a recursive-descent parser shared by the
+   validators (tools/bench_check, tools/validate_trace,
+   tools/validate_lint), the trace report and the export-validity tests.
+   Stdlib only — the repo deliberately carries no JSON dependency. *)
 
 exception Invalid of string
 
@@ -25,6 +25,8 @@ let escape s =
       s;
     Buffer.contents b
   end
+
+let number f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 

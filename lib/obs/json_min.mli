@@ -1,5 +1,5 @@
 (** Minimal stdlib-only JSON codec shared by every JSON writer (trace
-    export, metrics snapshots, bench results, [lint --json]), the bench
+    export, metrics snapshots, bench results, [lint --json]), the
     validators and the tests. {!parse} raises {!Invalid} on malformed
     input, and {!num} on non-finite numbers (our writers emit
     NaN/infinity as [null], which validation rejects). *)
@@ -9,6 +9,10 @@
     return get their short escapes, and every other byte below 0x20 is
     written as [\u00XX]. Other bytes pass through. *)
 val escape : string -> string
+
+(** A JSON number for [f] with 17 significant digits, so it reads back as
+    the same double; [null] when [f] is NaN or infinite. *)
+val number : float -> string
 
 exception Invalid of string
 

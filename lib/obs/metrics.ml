@@ -189,9 +189,6 @@ let reset () =
 
 (* --- scrape-able JSON rendering --- *)
 
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-
 (** Render a snapshot as one JSON object (counters/gauges/histograms maps,
     sorted by name; non-finite gauge values become [null]) — the payload
     behind every scrape endpoint ([tensorir serve --metrics-out]). *)
@@ -209,7 +206,7 @@ let snapshot_json (s : snapshot) =
   Buffer.add_char b '{';
   map "counters" string_of_int s.counters;
   Buffer.add_char b ',';
-  map "gauges" json_float s.gauges;
+  map "gauges" Json_min.number s.gauges;
   Buffer.add_char b ',';
   map "histograms"
     (fun (h : hist_snapshot) ->
@@ -217,7 +214,7 @@ let snapshot_json (s : snapshot) =
         "[" ^ String.concat "," (List.map render (Array.to_list xs)) ^ "]"
       in
       Printf.sprintf "{\"le\":%s,\"counts\":%s,\"total\":%d}"
-        (arr json_float h.le) (arr string_of_int h.counts) h.total)
+        (arr Json_min.number h.le) (arr string_of_int h.counts) h.total)
     s.histograms;
   Buffer.add_char b '}';
   Buffer.contents b

@@ -52,12 +52,8 @@ type entry = {
   e_outs : outs;
 }
 
-(* Kill switch for A/B comparison (bench) and debugging. *)
-let enabled =
-  ref
-    (match Sys.getenv_opt "TIR_APPLY_CACHE" with
-    | Some ("0" | "off") -> false
-    | None | Some _ -> true)
+(* Off only where a test compares the cache with full replay. *)
+let enabled = ref true
 
 let set_enabled b = enabled := b
 let is_enabled () = !enabled

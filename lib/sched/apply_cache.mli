@@ -29,7 +29,7 @@ type entry = {
   e_outs : outs;
 }
 
-(** Defaults to on; env [TIR_APPLY_CACHE=0] (or [off]) disables. *)
+(** On by default; tests turn it off to compare with full replay. *)
 val set_enabled : bool -> unit
 
 val is_enabled : unit -> bool

@@ -360,17 +360,13 @@ let nest_cache_misses = Atomic.make 0
 (** Cumulative (process-wide) per-nest tally cache hits/misses. *)
 let nest_cache_stats () = (Atomic.get nest_cache_hits, Atomic.get nest_cache_misses)
 
-(* Kill switch for A/B comparison (bench) and debugging. *)
-let nest_cache_enabled =
-  ref
-    (match Sys.getenv_opt "TIR_NEST_CACHE" with
-    | Some ("0" | "off") -> false
-    | None | Some _ -> true)
+(* Off only where a test compares the cache with a direct walk. *)
+let nest_cache_enabled = ref true
 
 let set_nest_cache_enabled b = nest_cache_enabled := b
 
 (** Drop the calling domain's nest-tally cache and zero the counters
-    (tests, bench A/B sections). *)
+    (tests, and the bench before each cold pass). *)
 let nest_cache_clear () =
   FpTbl.reset (Domain.DLS.get nest_cache);
   Atomic.set nest_cache_hits 0;
@@ -506,9 +502,9 @@ let measure_us ?fault_key target (f : Primfunc.t) =
 (** Aggregate tally for the whole function (feature extraction): work and
     traffic sum across root-level nests; parallelism shape takes the
     maximum (nests are separate kernels, not multiplied). Per-nest results
-    come from the physical-identity cache, so candidates that share
-    unchanged stages with other schedules in the population only re-walk
-    the nests their decisions actually touched. *)
+    come from the cache keyed by the nest's structural fingerprint, so
+    candidates that share unchanged stages with other schedules in the
+    population only re-walk the nests their decisions actually touched. *)
 let tally_func target (f : Primfunc.t) =
   let root = Primfunc.root_block f in
   let nests = match root.Stmt.body with Stmt.Seq ss -> ss | s -> [ s ] in

@@ -56,19 +56,19 @@ val measure_us : ?fault_key:string -> Target.t -> Primfunc.t -> float
 
 (** Whole-function tally for feature extraction: work sums across nests,
     parallelism takes the maximum. Per-nest tallies are served from a
-    per-domain cache keyed by the nest statement's physical identity —
-    schedule transforms path-copy, so candidate programs share unchanged
-    stages with the rest of the population and only re-walk the nests
-    their decisions touched. ([measure_us] does not use the cache: it
-    feeds the [sim.*] counters per nest walked.) *)
+    per-domain cache keyed by the nest's structural fingerprint
+    ({!Tir_ir.Fingerprint.stmt}), so candidate programs that share
+    unchanged stages with the rest of the population only re-walk the
+    nests their decisions touched. ([measure_us] does not use the cache:
+    it feeds the [sim.*] counters per nest walked.) *)
 val tally_func : Target.t -> Primfunc.t -> tally
 
 (** Cumulative (process-wide) hits/misses of the per-nest tally cache. *)
 val nest_cache_stats : unit -> int * int
 
-(** Toggle the per-nest tally cache (also [TIR_NEST_CACHE=0] in the
-    environment). Results are bit-identical either way; the switch exists
-    for the bench's pre-refactor arm and for debugging. *)
+(** Toggle the per-nest tally cache (on by default). Results are
+    bit-identical either way; tests turn it off for their reference
+    runs. *)
 val set_nest_cache_enabled : bool -> unit
 
 (** Drop the calling domain's nest-tally cache and zero its counters. *)
