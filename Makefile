@@ -29,10 +29,16 @@ bench-smoke: build
 # with its whole output check: a serve-mixed run of two job queues, and a
 # zoo-compile run of Fig 12's 50 GPU tasks (database round trip, trace
 # replay, validator and analyzer on every delivered best, the interpreter
-# on small instances). Exits non-zero when the build or any check fails.
+# on small instances). Then one traced run of each workload, whose result
+# line must be correct and carry every per-layer metric BENCHMARK.json
+# declares, each finite. Exits non-zero when the build or any check fails.
 perfbench-smoke: build
 	python3 perfbench/run.py --workload serve-mixed --seed 1 --seconds 12 --trace 0
 	python3 perfbench/run.py --workload zoo-compile --seed 1 --seconds 12 --trace 0
+	python3 perfbench/run.py --workload serve-mixed --seed 1 --seconds 12 --trace 1 \
+	  | python3 tools/perfbench_layers.py BENCHMARK.json
+	python3 perfbench/run.py --workload zoo-compile --seed 1 --seconds 12 --trace 1 \
+	  | python3 tools/perfbench_layers.py BENCHMARK.json
 
 # Kill-and-resume smoke test of the session layer through the CLI: a tune
 # halted after one committed generation must exit 8, report as resumable,
@@ -143,8 +149,8 @@ legality-smoke: build
 
 # The full pre-merge gate: build, unit + property tests, lint, bench smoke
 # run (gated row by row against the committed baseline), two full-scale
-# perfbench units, kill-and-resume smoke run, multi-tenant serve smoke
-# run, and the tracing/telemetry smoke run.
+# perfbench units and two traced perfbench runs, kill-and-resume smoke
+# run, multi-tenant serve smoke run, and the tracing/telemetry smoke run.
 check: build
 	dune runtest
 	$(MAKE) lint

@@ -86,13 +86,13 @@ let pick (d : Space.decisions) name choices = List.nth choices (Space.decide_exn
    database replay. Strict lookup, so a stale or mistyped vector fails
    loudly here rather than scheduling wrongly.
 
-   Sketches call this {e last}, after all transformations: two vectors
-   differing in one knob then share every trace instruction up to the
-   first transform that consumes the differing knob, so the apply cache
-   replays the shared prefix in O(1). (Decide instructions placed first
-   would make every distinct vector diverge at instruction 0.) Replay of
-   old decide-first traces still works — [Trace.decisions] is
-   position-independent. *)
+   Sketches call this {e last}, after all transformations, so every
+   vector's trace opens with the sketch's decision-free steps and then
+   the steps whose knobs take few values; those opening steps are what
+   the apply cache adopts. (Decide instructions placed first would make
+   every distinct vector diverge at instruction 0, and no application
+   would hit.) Replay of old decide-first traces still works —
+   [Trace.decisions] is position-independent. *)
 let record_decisions t knobs (d : Space.decisions) =
   List.iter
     (fun (k : Space.knob) -> S.record_decision t k.Space.name (Space.decide_exn d k.Space.name))

@@ -1,13 +1,27 @@
-(** Memoized primitive applications — the engine behind incremental trace
-    replay and sketch application.
+(** Memoized primitive applications — the opening steps of sketch
+    application and trace replay.
 
-    Applying a schedule primitive is a whole-program rewrite; during search
-    thousands of candidate schedules re-apply long identical instruction
-    prefixes (a mutated decision vector typically changes one knob, so every
-    step up to the first divergent instruction repeats verbatim). This cache
-    snapshots the complete schedule state — function, name counter, trace
-    builder, primitive outputs — after every facade step, so a repeated step
-    adopts the snapshot in O(1) instead of re-running the transform.
+    Applying a schedule primitive is a whole-program rewrite, and every
+    candidate schedule of a sketch starts with the same decision-free
+    steps (inlining upstream stages, get_loops), followed by splits whose
+    factors take few distinct values. This cache snapshots the complete
+    schedule state — function, name counter, trace builder, primitive
+    outputs — after a facade step, so a repeated step adopts the snapshot
+    in O(1) instead of re-running the transform.
+
+    {2 Follow while it hits}
+
+    A schedule consults the cache only while it keeps hitting. At its
+    first miss the facade runs the transform, stores that one snapshot and
+    leaves the cache: every later step of that schedule runs directly, with
+    no key, probe, clone or store. Past the first divergent instruction a
+    probe almost never hits, while every miss would cost a whole-program
+    snapshot: probing every step of every schedule of one zoo-compile
+    unit (seed 1001, 2 domains), 96.5, 93.1, 69.2 and 28.8 % of the
+    probes at chain depths 1-4 hit and at most 10 % at any depth after,
+    on chains of up to 75 steps. One schedule therefore adds at most one
+    entry, one step deeper than the chain it followed; re-applying one
+    decision vector k times hits k - 1 times before it misses.
 
     {2 Lineage chaining}
 
@@ -67,7 +81,13 @@ end
 
 module Tbl = Hashtbl.Make (Key)
 
-let cap = 1 lsl 16
+(* A table at the cap is emptied before the next store. One schedule adds
+   at most one entry, so a perfbench unit fills at most ~3.6k entries per
+   domain and never reaches this cap; what it bounds is a long-running
+   serve, whose table otherwise grows with every schedule it applies. At
+   an estimated 2.5-3.6 KB a snapshot (snapshots share most program
+   nodes), 4,096 entries hold about 10-15 MB per domain. *)
+let cap = 4096
 
 let tbl_key : entry Tbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Tbl.create 1024)
@@ -120,8 +140,7 @@ let store ~parent ~prekey ~func ~name_counter ~builder ~outs =
   let tbl = Domain.DLS.get tbl_key in
   if Tbl.length tbl >= cap then Tbl.reset tbl;
   let e = { e_node = fresh_node (); e_func = func; e_name_counter = name_counter; e_builder = builder; e_outs = outs } in
-  Tbl.replace tbl (parent, prekey) e;
-  e
+  Tbl.replace tbl (parent, prekey) e
 
 (** Cumulative (process-wide) hit/miss counters, in that order. *)
 let stats () = (Atomic.get hits, Atomic.get misses)

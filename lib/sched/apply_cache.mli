@@ -1,5 +1,5 @@
-(** Memoized primitive applications — the engine behind incremental trace
-    replay and incremental sketch application.
+(** Memoized primitive applications for the opening steps of sketch
+    application and trace replay.
 
     Entries snapshot the complete schedule state after one facade step and
     are keyed by [(parent chain node, pre-key)], where the pre-key is the
@@ -7,8 +7,11 @@
     at a per-physical-base-function node, so a hit can only extend the
     exact stored lineage — the adopted function and its entities are always
     coherent with the loop variables and buffers the caller already holds
-    from earlier steps. Tables are per-domain; results are bit-identical
-    with the cache on or off (see the implementation header for the full
+    from earlier steps. A schedule follows its chain only while it hits:
+    the facade stores the step it first misses on and runs every later step
+    directly, so one schedule adds at most one entry. Tables are
+    per-domain and bounded by entries; results are bit-identical with the
+    cache on or off (see the implementation header for the full
     argument). *)
 
 open Tir_ir
@@ -40,8 +43,9 @@ val base_node : Primfunc.t -> int
 
 val find : parent:int -> prekey:string -> entry option
 
-(** Snapshot a just-applied step and return its entry (carrying the fresh
-    node id). [builder] must be a frozen clone. *)
+(** Snapshot a just-applied step under a fresh node id, so later
+    schedules can adopt it and extend the chain from it. [builder] must be
+    a frozen clone. *)
 val store :
   parent:int ->
   prekey:string ->
@@ -49,7 +53,7 @@ val store :
   name_counter:int ->
   builder:Trace.builder ->
   outs:outs ->
-  entry
+  unit
 
 (** Cumulative (process-wide) hit/miss counters, in that order. *)
 val stats : unit -> int * int

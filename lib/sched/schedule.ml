@@ -141,23 +141,27 @@ let race_gate t v kind prim =
         raise e
   end
 
-(* The apply cache: on states created with [create_cached], every facade
-   step first probes the per-domain cache under (current chain node,
-   opcode+inputs pre-key). A hit adopts the snapshot — function, name
-   counter, a clone of the recorded builder, the primitive's outputs — in
-   O(1); a miss runs the transform and snapshots the result. Failed
-   primitives store nothing (a transform may mutate the state before
-   raising). Deep-check mode bypasses the cache so every step really
-   re-runs the analyzer. *)
+(* The apply cache: a state created with [create_cached] follows the
+   per-domain cache only while it hits. Each step probes under (current
+   chain node, opcode+inputs pre-key); a hit adopts the snapshot —
+   function, name counter, a clone of the recorded builder, the
+   primitive's outputs — in O(1). The first miss cuts the chain (node 0):
+   the step runs, its result is snapshotted once for later schedules to
+   adopt, and every later step of this schedule runs directly, with no
+   key, probe, clone or store. Hits cluster in a sketch's decision-free
+   first steps (see {!Apply_cache}), so a schedule stores one snapshot
+   instead of one per primitive. The chain is cut before the transform
+   runs, so a failed primitive (which may mutate the state before
+   raising) stores nothing. Deep-check mode bypasses the cache so every
+   step really re-runs the analyzer. *)
 module A = Apply_cache
 
 let pk parts = String.concat "\x1f" parts
 
 let step t ~(key : unit -> string) ~(run : unit -> A.outs) : A.outs =
-  if (not (State.use_cache t)) || (not (A.is_enabled ())) || !deep_check_flag then
-    run ()
+  let parent = State.cache_node t in
+  if parent = 0 || (not (A.is_enabled ())) || !deep_check_flag then run ()
   else
-    let parent = State.cache_node t in
     let prekey = key () in
     match A.find ~parent ~prekey with
     | Some e ->
@@ -165,13 +169,11 @@ let step t ~(key : unit -> string) ~(run : unit -> A.outs) : A.outs =
           ~tr:(Trace.clone e.A.e_builder) ~node:e.A.e_node;
         e.A.e_outs
     | None ->
+        State.set_cache_node t 0;
         let outs = run () in
-        let e =
-          A.store ~parent ~prekey ~func:(func t)
-            ~name_counter:(State.name_counter t)
-            ~builder:(Trace.clone (builder t)) ~outs
-        in
-        State.set_cache_node t e.A.e_node;
+        A.store ~parent ~prekey ~func:(func t)
+          ~name_counter:(State.name_counter t)
+          ~builder:(Trace.clone (builder t)) ~outs;
         outs
 
 let as_unit = function A.R_unit -> () | _ -> assert false
@@ -525,11 +527,12 @@ let pp = pp_schedule
     by construction since it goes through the same primitives. The rebuilt
     schedule records the same trace: [instructions (replay tr f) = tr].
 
-    Replay is incremental: the state is cache-enabled, so re-replaying a
-    trace — or a trace sharing an instruction prefix with one already
-    applied on this domain against the same physical function — adopts the
-    shared prefix from the apply cache and only re-runs the divergent
-    suffix. *)
+    The state is cache-enabled, so replay adopts snapshots from the apply
+    cache while its steps hit (same physical function, same instructions,
+    same domain) and runs the rest. A schedule stores only the step it
+    first misses on, so each re-replay of one trace adopts one more step
+    than the last; the shared decision-free opening steps of a sketch's
+    traces are what it mostly adopts. *)
 let replay (tr : Trace.t) (f : Tir_ir.Primfunc.t) : t =
   let t = create_cached f in
   let loops : (Trace.loop_rv, Tir_ir.Var.t) Hashtbl.t = Hashtbl.create 64 in

@@ -18,15 +18,16 @@ type t
 
 val create : Primfunc.t -> t
 
-(** Like [create], but primitive applications go through the per-domain
-    {!Apply_cache}: a step already applied to this exact state (same chain
-    of primitives from the same physical base function) adopts the cached
-    snapshot instead of re-running the transform, making repeated sketch
-    application and trace replay incremental. Results are bit-identical to
-    [create]. Safe only when every loop [Var] / [Buffer] handed to
-    primitives derives from this schedule's own lineage (primitive outputs,
-    [get_block]/[blocks] lookups); callers passing externally created
-    entities must use [create]. *)
+(** Like [create], but primitive applications follow the per-domain
+    {!Apply_cache} while it hits: a step already applied to this exact
+    state (same chain of primitives from the same physical base function)
+    adopts the cached snapshot instead of re-running the transform. The
+    first miss runs the transform, stores its snapshot for later schedules
+    and leaves the cache: every later step of this schedule runs directly.
+    Results are bit-identical to [create]. Safe only when every loop
+    [Var] / [Buffer] handed to primitives derives from this schedule's own
+    lineage (primitive outputs, [get_block]/[blocks] lookups); callers
+    passing externally created entities must use [create]. *)
 val create_cached : Primfunc.t -> t
 
 val func : t -> Primfunc.t

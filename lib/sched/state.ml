@@ -20,28 +20,23 @@ type t = {
   mutable func : Primfunc.t;
   mutable name_counter : int;
   mutable tr : Trace.builder;  (** applied primitives, typed *)
-  use_cache : bool;  (** consult {!Apply_cache} in the facade *)
-  mutable cache_node : int;  (** current {!Apply_cache} chain node; 0 = none *)
+  mutable cache_node : int;
+      (** current {!Apply_cache} chain node; 0 = run every step directly *)
 }
 
-let create func =
-  { func; name_counter = 0; tr = Trace.builder (); use_cache = false; cache_node = 0 }
+let create func = { func; name_counter = 0; tr = Trace.builder (); cache_node = 0 }
 
-(** Like [create], but facade primitives applied to this state go through
-    the per-domain {!Apply_cache}: a step already applied to this exact
-    state (same chain of primitives from the same physical base function)
-    adopts the cached result instead of re-running the transform. Safe only
-    because every entity the caller can hold was derived from this state's
-    own lineage — sketch application and trace replay qualify; states that
-    receive externally created loop [Var]s or [Buffer]s must use [create]. *)
+(** Like [create], but facade primitives applied to this state follow the
+    per-domain {!Apply_cache} while it hits: a step already applied to this
+    exact state (same chain of primitives from the same physical base
+    function) adopts the cached result instead of re-running the transform.
+    The first miss stores one snapshot and sets the chain node to 0, after
+    which every step runs directly. Safe only because every entity the
+    caller can hold was derived from this state's own lineage — sketch
+    application and trace replay qualify; states that receive externally
+    created loop [Var]s or [Buffer]s must use [create]. *)
 let create_cached func =
-  {
-    func;
-    name_counter = 0;
-    tr = Trace.builder ();
-    use_cache = true;
-    cache_node = Apply_cache.base_node func;
-  }
+  { (create func) with cache_node = Apply_cache.base_node func }
 
 let func t = t.func
 
@@ -49,7 +44,6 @@ let copy t = { t with tr = Trace.clone t.tr }
 
 let builder t = t.tr
 
-let use_cache t = t.use_cache
 let cache_node t = t.cache_node
 let set_cache_node t n = t.cache_node <- n
 let name_counter t = t.name_counter

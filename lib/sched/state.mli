@@ -17,18 +17,20 @@ type t = {
   mutable func : Primfunc.t;
   mutable name_counter : int;
   mutable tr : Trace.builder;  (** applied primitives, typed *)
-  use_cache : bool;  (** consult {!Apply_cache} in the facade *)
-  mutable cache_node : int;  (** current {!Apply_cache} chain node; 0 = none *)
+  mutable cache_node : int;
+      (** current {!Apply_cache} chain node; 0 = run every step directly *)
 }
 
 val create : Primfunc.t -> t
 
-(** Like [create], but facade primitives go through the per-domain
-    {!Apply_cache}: a step already applied to this exact state (same chain
-    of primitives from the same physical base function) adopts the cached
-    result instead of re-running the transform. Safe only when every loop
-    [Var] / [Buffer] handed to primitives derives from this state's own
-    lineage — sketch application and trace replay qualify; callers passing
+(** Like [create], but facade primitives follow the per-domain
+    {!Apply_cache} while it hits: a step already applied to this exact
+    state (same chain of primitives from the same physical base function)
+    adopts the cached result instead of re-running the transform. The
+    first miss stores one snapshot and sets the chain node to 0, after
+    which every step runs directly. Safe only when every loop [Var] /
+    [Buffer] handed to primitives derives from this state's own lineage —
+    sketch application and trace replay qualify; callers passing
     externally created entities must use [create]. *)
 val create_cached : Primfunc.t -> t
 
@@ -42,7 +44,6 @@ val builder : t -> Trace.builder
 
 (** {2 Apply-cache plumbing (used by the [Schedule] facade)} *)
 
-val use_cache : t -> bool
 val cache_node : t -> int
 val set_cache_node : t -> int -> unit
 val name_counter : t -> int

@@ -12,6 +12,9 @@
       the pre-refactor pipeline does, fingerprints and feature vectors
       included, across random mutation chains and with the apply cache
       both on and off;
+    - a schedule follows the apply cache only while it hits: one
+      application misses at most once, and the k-th application of one
+      decision vector hits k - 1 times before it misses;
     - the per-nest tally cache does not change extracted features;
     - evaluation is deterministic across domains (jobs=1 vs jobs=4). *)
 
@@ -117,10 +120,11 @@ let check_same_outcome ctx a b =
   | _ -> ()
 
 (* Random mutation chains, the shape the evolutionary search produces:
-   each vector is one knob-mutation away from its predecessor, so the
-   apply cache sees deep shared prefixes. Every step must classify the
-   same through the naive pipeline (apply cache off) and the optimized
-   one (apply cache on). *)
+   each vector is one knob-mutation away from its predecessor. With the
+   apply cache on, an application adopts the cached steps it hits before
+   its first miss — mostly the sketch's decision-free opening steps — and
+   runs the rest. Every step must classify the same through the naive
+   pipeline (apply cache off) and the optimized one (apply cache on). *)
 let test_evaluate_matches_naive () =
   let rng = Rng.create 1234 in
   List.iter
@@ -137,6 +141,47 @@ let test_evaluate_matches_naive () =
         check_same_outcome
           (Printf.sprintf "%s step %d" sk.Sk.name step)
           naive opt
+      done)
+    (sketches ())
+
+(* Apply-cache hits and misses of one [sk.apply]; an inapplicable vector
+   counts what was probed before the primitive raised. *)
+let apply_stats (sk : Sk.t) d =
+  let h0, m0 = AC.stats () in
+  (try ignore (sk.Sk.apply d) with Tir_sched.State.Schedule_error _ -> ());
+  let h1, m1 = AC.stats () in
+  (h1 - h0, m1 - m0)
+
+(* A schedule follows the apply cache only while it hits: its first miss
+   stores one snapshot and every later step runs directly. So each
+   application along a mutation chain misses at most once, and applying
+   one vector again adopts one more step than the time before. *)
+let test_apply_cache_follows_hits () =
+  let rng = Rng.create 4321 in
+  List.iter
+    (fun (sk : Sk.t) ->
+      AC.clear ();
+      let d = ref (Space.random_decisions rng sk.Sk.knobs) in
+      for step = 0 to 39 do
+        if step > 0 then d := Space.mutate rng sk.Sk.knobs !d;
+        let _, misses = apply_stats sk !d in
+        if misses > 1 then
+          Alcotest.failf "%s step %d: one apply missed %d times" sk.Sk.name step
+            misses
+      done;
+      let rec applicable () =
+        let d = Space.random_decisions rng sk.Sk.knobs in
+        match sk.Sk.apply d with
+        | _ -> d
+        | exception Tir_sched.State.Schedule_error _ -> applicable ()
+      in
+      let d = applicable () in
+      AC.clear ();
+      for k = 1 to 6 do
+        let hits, misses = apply_stats sk d in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s: application %d (hits, misses)" sk.Sk.name k)
+          (k - 1, 1) (hits, misses)
       done)
     (sketches ())
 
@@ -232,6 +277,8 @@ let suite =
       test_stmt_hashcons;
     Alcotest.test_case "optimized pipeline == naive pipeline on mutation chains"
       `Slow test_evaluate_matches_naive;
+    Alcotest.test_case "apply cache is followed only while it hits" `Quick
+      test_apply_cache_follows_hits;
     Alcotest.test_case "knob pre-filter rejects exactly the inapplicable" `Slow
       test_prefilter_exact;
     Alcotest.test_case "decision-key memo hit == miss" `Quick
