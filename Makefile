@@ -14,13 +14,19 @@ test: build
 bench: build
 	dune exec bench/main.exe
 
-# Fast bench run (truncated workload set and trial budgets), then the
+# Fast bench run (truncated workload set and trial budgets) at one and at
+# four pool domains, whose results files must be byte-identical: every
+# value in BENCH_results.json is one the build determines. Then the
 # row-by-row gate against the committed baseline: each row of
 # BENCH_results.json declares its gate (exact, floor or ceiling), and no
 # row may appear, vanish, change its gate or be null. The last leg is the
 # gate's self-test: with every row pushed past its gate it must fail.
 bench-smoke: build
-	BENCH_FAST=1 dune exec bench/main.exe
+	TIR_JOBS=1 BENCH_FAST=1 dune exec bench/main.exe
+	cp BENCH_results.json /tmp/tir_bench_smoke_jobs1.json
+	TIR_JOBS=4 BENCH_FAST=1 dune exec bench/main.exe
+	cmp /tmp/tir_bench_smoke_jobs1.json BENCH_results.json
+	rm -f /tmp/tir_bench_smoke_jobs1.json
 	dune exec tools/bench_check.exe -- BENCH_results.json BENCH_check_baseline.json
 	! dune exec tools/bench_check.exe -- BENCH_results.json \
 	  BENCH_check_baseline.json --inject-regression 2>/dev/null

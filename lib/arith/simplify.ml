@@ -24,45 +24,62 @@ let bound ctx e = Bound.of_expr_map ctx.ranges e
    an addition, subtraction, or multiplication by a constant. *)
 type linear = { const : int; terms : (Expr.t * int) list }
 
-let rec atom_key (e : Expr.t) =
-  (* Deterministic ordering key: structural string. Small expressions only
-     reach here, so the cost is negligible. *)
+(* The canonical term order. Two variables compare by id. A variable
+   compares with any other atom as the string [var_text]; two other atoms
+   compare by their printed form ([Expr.to_string]), and atoms printed
+   alike merge into the first term.
+
+   For ids below 10^7, and atoms whose printed form does not start with
+   "v0" and a digit, this equals sorting on the string keys "v%08d" (a
+   variable's id) and the printed form (anything else), the order every
+   stored result was produced under; test_arith checks the two agree. It
+   never reads an id's digits, so it does not depend on how many
+   variables the process has created. Printing an atom costs about a
+   microsecond, and the simplifier runs under every schedule primitive,
+   the validator, the analyzers and the machine model, so [to_linear]
+   prints each non-variable atom once per call and variables never. *)
+type key = Id of int | Printed of string
+
+let var_text = "v00000000"
+
+let key_of (e : Expr.t) =
+  match e with Expr.Var v -> Id v.Var.id | _ -> Printed (Expr.to_string e)
+
+let compare_key a b =
+  match (a, b) with
+  | Id x, Id y -> Int.compare x y
+  | Id _, Printed s -> String.compare var_text s
+  | Printed s, Id _ -> String.compare s var_text
+  | Printed s, Printed t -> String.compare s t
+
+(* Terms carrying their keys, sorted, keys distinct. *)
+let rec merge xs ys =
+  match (xs, ys) with
+  | [], l | l, [] -> l
+  | ((kx, ax, cx) as x) :: xs', ((ky, _, cy) as y) :: ys' ->
+      let o = compare_key kx ky in
+      if o = 0 then
+        if cx + cy = 0 then merge xs' ys' else (kx, ax, cx + cy) :: merge xs' ys'
+      else if o < 0 then x :: merge xs' ys
+      else y :: merge xs ys'
+
+let scale k (c, terms) =
+  if k = 0 then (0, []) else (c * k, List.map (fun (key, a, t) -> (key, a, t * k)) terms)
+
+let rec keyed (e : Expr.t) =
   match e with
-  | Expr.Var v -> Printf.sprintf "v%08d" v.Var.id
-  | _ -> Expr.to_string e
-
-and add_term atom coeff terms =
-  if coeff = 0 then terms
-  else
-    let key = atom_key atom in
-    let rec go = function
-      | [] -> [ (atom, coeff) ]
-      | (a, c) :: rest ->
-          let k = atom_key a in
-          if String.equal k key then if c + coeff = 0 then rest else (a, c + coeff) :: rest
-          else if String.compare key k < 0 then (atom, coeff) :: (a, c) :: rest
-          else (a, c) :: go rest
-    in
-    go terms
-
-let lin_add a b =
-  {
-    const = a.const + b.const;
-    terms = List.fold_left (fun acc (at, c) -> add_term at c acc) a.terms b.terms;
-  }
-
-let lin_scale k a =
-  if k = 0 then { const = 0; terms = [] }
-  else { const = a.const * k; terms = List.map (fun (at, c) -> (at, c * k)) a.terms }
-
-let rec to_linear (e : Expr.t) : linear =
-  match e with
-  | Expr.Int i -> { const = i; terms = [] }
-  | Expr.Bin (Expr.Add, a, b) -> lin_add (to_linear a) (to_linear b)
-  | Expr.Bin (Expr.Sub, a, b) -> lin_add (to_linear a) (lin_scale (-1) (to_linear b))
+  | Expr.Int i -> (i, [])
+  | Expr.Bin (Expr.Add, a, b) -> add (keyed a) (keyed b)
+  | Expr.Bin (Expr.Sub, a, b) -> add (keyed a) (scale (-1) (keyed b))
   | Expr.Bin (Expr.Mul, a, Expr.Int k) | Expr.Bin (Expr.Mul, Expr.Int k, a) ->
-      lin_scale k (to_linear a)
-  | _ -> { const = 0; terms = [ (e, 1) ] }
+      scale k (keyed a)
+  | _ -> (0, [ (key_of e, e, 1) ])
+
+and add (c1, t1) (c2, t2) = (c1 + c2, merge t1 t2)
+
+let to_linear e =
+  let const, terms = keyed e in
+  { const; terms = List.map (fun (_, a, c) -> (a, c)) terms }
 
 let of_linear l =
   let term (atom, c) =
@@ -161,13 +178,6 @@ and simplify_cmp ctx op a b =
     | Some { lo; hi }, Expr.Ne when lo > 0 || hi < 0 -> Expr.Bool true
     | _ -> Expr.cmp op a b
 
-(** Convenience entry point with variable extents given as a list. *)
-let simplify_with_extents extents e =
-  let ctx =
-    List.fold_left (fun ctx (v, ext) -> with_extent ctx v ext) empty_ctx extents
-  in
-  simplify ctx e
-
 (** Prove that two integer expressions are equal under the given context. *)
 let prove_equal ctx a b =
   match simplify ctx (Expr.cmp Expr.Eq a b) with
@@ -176,5 +186,3 @@ let prove_equal ctx a b =
       (* Fall back to linear-form comparison. *)
       let d = to_linear (Expr.sub a b) in
       d.const = 0 && d.terms = [])
-
-let prove ctx e = match simplify ctx e with Expr.Bool true -> true | _ -> false

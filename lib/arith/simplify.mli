@@ -14,7 +14,12 @@ val with_range : ctx -> Var.t -> Bound.interval -> ctx
 val with_extent : ctx -> Var.t -> int -> ctx
 val bound : ctx -> Expr.t -> Bound.interval option
 
-(** Linear form: [const + sum of atom*coeff], atoms sorted canonically. *)
+(** Linear form: [const + sum of atom*coeff], atoms sorted canonically:
+    two variables by id, a variable against any other atom as the string
+    ["v00000000"], two other atoms by their printed form
+    ({!Tir_ir.Expr.to_string}); atoms printed alike merge into the first
+    term. The order never reads an id's digits, so it does not depend on
+    how many variables the process has created. *)
 type linear = { const : int; terms : (Expr.t * int) list }
 
 val to_linear : Expr.t -> linear
@@ -23,10 +28,5 @@ val of_linear : linear -> Expr.t
 (** Full recursive simplification under the context's variable ranges. *)
 val simplify : ctx -> Expr.t -> Expr.t
 
-val simplify_with_extents : (Var.t * int) list -> Expr.t -> Expr.t
-
 (** Prove two integer expressions equal under the context. *)
 val prove_equal : ctx -> Expr.t -> Expr.t -> bool
-
-(** Prove a boolean expression true under the context. *)
-val prove : ctx -> Expr.t -> bool

@@ -77,15 +77,21 @@ let m_pruned_static = Tir_obs.Metrics.counter "search.pruned_static"
 
 (* [Space.Unknown_knob] deliberately propagates: the search only builds
    decision vectors from the sketch's own knob list, so an unknown knob is
-   a programming error, not an invalid sample. *)
+   a programming error, not an invalid sample.
+
+   Each stage records a span, a child of the engine's [evaluate] span (one
+   atomic load when tracing is off). The pipeline runs once per eval-memo
+   miss, so the spans are identical at any TIR_JOBS. *)
 let evaluate ~target (sk : Sketch.t) (d : Space.decisions) : evaluation =
   if sk.Sketch.rejects d then Inapplicable
   else
-    match sk.Sketch.apply d with
+    match Tir_obs.Trace.with_span "eval.apply" (fun () -> sk.Sketch.apply d) with
     | exception Tir_sched.State.Schedule_error _ -> Inapplicable
     | sch -> (
         let f = Tir_sched.Schedule.func sch in
-        match Tir_sched.Validate.check_func f with
+        match
+          Tir_obs.Trace.with_span "eval.validate" (fun () -> Tir_sched.Validate.check_func f)
+        with
         | _ :: _ -> Invalid
         | [] -> (
             (* Static pre-filter: a proven-illegal parallel structure is
@@ -93,16 +99,23 @@ let evaluate ~target (sk : Sketch.t) (d : Space.decisions) : evaluation =
                certificate is served from the fingerprint-keyed race memo,
                and [Analysis.errors] below shares it, so nothing is
                analyzed twice. *)
-            let verdict = Tir_analysis.Analysis.certify f in
+            let verdict =
+              Tir_obs.Trace.with_span "eval.certify" (fun () -> Tir_analysis.Analysis.certify f)
+            in
             Tir_analysis.Legality.count verdict;
             match verdict with
             | Tir_analysis.Legality.Illegal _ ->
                 Tir_obs.Metrics.incr m_pruned_static;
                 Unsound
             | Tir_analysis.Legality.Legal | Tir_analysis.Legality.Unknown -> (
-                if Tir_analysis.Analysis.errors f <> [] then Unsound
+                if
+                  Tir_obs.Trace.with_span "eval.analyze" (fun () -> Tir_analysis.Analysis.errors f)
+                  <> []
+                then Unsound
                 else
-                  match Features.extract target f with
+                  match
+                    Tir_obs.Trace.with_span "eval.features" (fun () -> Features.extract target f)
+                  with
                   | features ->
                       Evaluated
                         {

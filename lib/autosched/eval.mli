@@ -33,7 +33,9 @@ val cache_prefix : Tir_sim.Target.t -> string
     provably inapplicable vectors before any program is materialized),
     cached sketch application, then validation + semantic analysis +
     feature extraction. Does not consult the per-decision-vector memo —
-    that is [evaluate_cached]. *)
+    that is [evaluate_cached]. When tracing is on, each stage records a
+    span: [eval.apply], [eval.validate], [eval.certify], [eval.analyze]
+    and [eval.features]. *)
 val evaluate : target:Tir_sim.Target.t -> Sketch.t -> Space.decisions -> evaluation
 
 (** The pre-refactor pipeline, byte for byte: no pre-filter, no

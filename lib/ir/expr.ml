@@ -352,39 +352,68 @@ let cmpop_symbol = function
   | Gt -> ">"
   | Ge -> ">="
 
-(* Precedence-aware printing keeps index expressions readable in dumps. *)
-let rec pp_prec prec ppf e =
-  let paren p body = if prec > p then Fmt.pf ppf "(%t)" body else body ppf in
+(* The one expression printer: precedence-aware, in the script dialect,
+   written straight into a [Stdlib.Buffer] (here [Buffer] is the IR's
+   tensor buffer). [Tir_arith.Simplify] sorts the terms of every linear
+   form by this text, so it sits on the search's hot path; [pp] prints
+   the same string. *)
+let add_str = Stdlib.Buffer.add_string
+
+let rec print out prec e =
   match e with
-  | Int i -> Fmt.int ppf i
-  | Float (f, dt) ->
-      if Dtype.equal dt Dtype.F32 then Fmt.pf ppf "%g" f
-      else Fmt.pf ppf "%s(%g)" (Dtype.to_string dt) f
-  | Bool b -> Fmt.bool ppf b
-  | Var v -> Var.pp ppf v
-  | Bin ((Min | Max) as op, a, b) ->
-      Fmt.pf ppf "%s(%a, %a)" (binop_symbol op) (pp_prec 0) a (pp_prec 0) b
+  | Int i -> add_str out (string_of_int i)
+  | Float (f, dt) when Dtype.equal dt Dtype.F32 -> add_str out (Printf.sprintf "%g" f)
+  | Float (f, dt) -> add_str out (Printf.sprintf "%s(%g)" (Dtype.to_string dt) f)
+  | Bool b -> add_str out (string_of_bool b)
+  | Var v -> add_str out v.Var.name
+  | Bin ((Min | Max) as op, a, b) -> call out (binop_symbol op) "(" [ a; b ] ")"
   | Bin (op, a, b) ->
       let p = match op with Add | Sub -> 4 | _ -> 5 in
-      paren p (fun ppf ->
-          Fmt.pf ppf "%a %s %a" (pp_prec p) a (binop_symbol op) (pp_prec (p + 1)) b)
-  | Cmp (op, a, b) ->
-      paren 3 (fun ppf ->
-          Fmt.pf ppf "%a %s %a" (pp_prec 4) a (cmpop_symbol op) (pp_prec 4) b)
-  | And (a, b) ->
-      paren 2 (fun ppf -> Fmt.pf ppf "%a and %a" (pp_prec 2) a (pp_prec 3) b)
-  | Or (a, b) ->
-      paren 1 (fun ppf -> Fmt.pf ppf "%a or %a" (pp_prec 1) a (pp_prec 2) b)
-  | Not a -> paren 6 (fun ppf -> Fmt.pf ppf "not %a" (pp_prec 6) a)
-  | Select (c, a, b) ->
-      Fmt.pf ppf "select(%a, %a, %a)" (pp_prec 0) c (pp_prec 0) a (pp_prec 0) b
-  | Cast (dt, a) -> Fmt.pf ppf "%s(%a)" (Dtype.to_string dt) (pp_prec 0) a
-  | Load (buf, idx) ->
-      Fmt.pf ppf "%a[%a]" Buffer.pp buf Fmt.(list ~sep:(any ", ") (pp_prec 0)) idx
-  | Call (name, _, args) ->
-      Fmt.pf ppf "%s(%a)" name Fmt.(list ~sep:(any ", ") (pp_prec 0)) args
+      infix out prec p a p (binop_symbol op) b (p + 1)
+  | Cmp (op, a, b) -> infix out prec 3 a 4 (cmpop_symbol op) b 4
+  | And (a, b) -> infix out prec 2 a 2 "and" b 3
+  | Or (a, b) -> infix out prec 1 a 1 "or" b 2
+  | Not a ->
+      if prec > 6 then add_str out "(";
+      add_str out "not ";
+      print out 6 a;
+      if prec > 6 then add_str out ")"
+  | Select (c, a, b) -> call out "select" "(" [ c; a; b ] ")"
+  | Cast (dt, a) -> call out (Dtype.to_string dt) "(" [ a ] ")"
+  | Load (buf, idx) -> call out buf.Buffer.name "[" idx "]"
+  | Call (name, _, args) -> call out name "(" args ")"
   | Ptr (buf, idx) ->
-      Fmt.pf ppf "&%a[%a]" Buffer.pp buf Fmt.(list ~sep:(any ", ") (pp_prec 0)) idx
+      add_str out "&";
+      call out buf.Buffer.name "[" idx "]"
 
-let pp = pp_prec 0
-let to_string e = Fmt.str "%a" pp e
+(* [a sym b] at precedence [p], its operands at precedences [pa] and [pb]. *)
+and infix out prec p a pa sym b pb =
+  if prec > p then add_str out "(";
+  print out pa a;
+  add_str out " ";
+  add_str out sym;
+  add_str out " ";
+  print out pb b;
+  if prec > p then add_str out ")"
+
+(* [head], then the arguments separated by commas between [l] and [r]. *)
+and call out head l args r =
+  add_str out head;
+  add_str out l;
+  print_args out args;
+  add_str out r
+
+and print_args out = function
+  | [] -> ()
+  | [ a ] -> print out 0 a
+  | a :: rest ->
+      print out 0 a;
+      add_str out ", ";
+      print_args out rest
+
+let to_string e =
+  let out = Stdlib.Buffer.create 64 in
+  print out 0 e;
+  Stdlib.Buffer.contents out
+
+let pp ppf e = Format.pp_print_string ppf (to_string e)

@@ -124,7 +124,10 @@ val equal : t -> t -> bool
 val binop_symbol : binop -> string
 val cmpop_symbol : cmpop -> string
 
-(** Precedence-aware printing in the script dialect. *)
-val pp : Format.formatter -> t -> unit
-
+(** The expression printer: precedence-aware, in the script dialect.
+    There is one printer. [to_string] builds the text in a buffer, without
+    [Format]; [Tir_arith.Simplify] orders linear terms by it. *)
 val to_string : t -> string
+
+(** Prints [to_string e]. *)
+val pp : Format.formatter -> t -> unit

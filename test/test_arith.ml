@@ -103,6 +103,215 @@ let test_bound_soundness () =
   | () -> ()
   | exception e -> Alcotest.failf "bound soundness: %s" (Printexc.to_string e)
 
+(* --- the canonical term order --- *)
+
+(* The simplifier with terms sorted by string keys: "v%08d" of a
+   variable's id, the Format printer's text of any other atom; an inserted
+   term merges into the first term with an equal key. The oracle for the
+   keyed order, on ids below 10^7. *)
+module Reference = struct
+  open Simplify
+
+  let atom_key (e : Expr.t) =
+    match e with
+    | Expr.Var v -> Printf.sprintf "v%08d" v.Var.id
+    | _ -> Test_expr.reference_to_string e
+
+  let add_term atom coeff terms =
+    if coeff = 0 then terms
+    else
+      let key = atom_key atom in
+      let rec go = function
+        | [] -> [ (atom, coeff) ]
+        | (a, c) :: rest ->
+            let k = atom_key a in
+            if String.equal k key then if c + coeff = 0 then rest else (a, c + coeff) :: rest
+            else if String.compare key k < 0 then (atom, coeff) :: (a, c) :: rest
+            else (a, c) :: go rest
+      in
+      go terms
+
+  let lin_add a b =
+    {
+      const = a.const + b.const;
+      terms = List.fold_left (fun acc (at, c) -> add_term at c acc) a.terms b.terms;
+    }
+
+  let lin_scale k a =
+    if k = 0 then { const = 0; terms = [] }
+    else { const = a.const * k; terms = List.map (fun (at, c) -> (at, c * k)) a.terms }
+
+  let rec to_linear (e : Expr.t) : linear =
+    match e with
+    | Expr.Int i -> { const = i; terms = [] }
+    | Expr.Bin (Expr.Add, a, b) -> lin_add (to_linear a) (to_linear b)
+    | Expr.Bin (Expr.Sub, a, b) -> lin_add (to_linear a) (lin_scale (-1) (to_linear b))
+    | Expr.Bin (Expr.Mul, a, Expr.Int k) | Expr.Bin (Expr.Mul, Expr.Int k, a) ->
+        lin_scale k (to_linear a)
+    | _ -> { const = 0; terms = [ (e, 1) ] }
+
+  let split_divisible k l =
+    let div_terms, rem_terms = List.partition (fun (_, c) -> c mod k = 0) l.terms in
+    let qconst = Expr.floordiv l.const k in
+    let rconst = l.const - (qconst * k) in
+    ( { const = qconst; terms = List.map (fun (a, c) -> (a, c / k)) div_terms },
+      { const = rconst; terms = rem_terms } )
+
+  let rec simplify ctx (e : Expr.t) : Expr.t =
+    let e = Expr.map_children (simplify ctx) e in
+    match e with
+    | Expr.Bin (op, _, _) when Dtype.equal (Expr.dtype e) Dtype.Int -> simplify_int ctx op e
+    | Expr.Cmp (op, a, b) -> simplify_cmp ctx op a b
+    | Expr.Select (Expr.Bool true, t, _) -> t
+    | Expr.Select (Expr.Bool false, _, f) -> f
+    | _ -> e
+
+  and simplify_int ctx op e =
+    match (op, e) with
+    | (Expr.Add | Expr.Sub | Expr.Mul), _ -> of_linear (to_linear e)
+    | Expr.Div, Expr.Bin (_, a, Expr.Int k) when k > 0 -> simplify_div ctx a k
+    | Expr.Mod, Expr.Bin (_, a, Expr.Int k) when k > 0 -> simplify_mod ctx a k
+    | (Expr.Min | Expr.Max), Expr.Bin (_, a, b) -> simplify_minmax ctx op a b
+    | _ -> e
+
+  and simplify_div ctx a k =
+    if k = 1 then a
+    else
+      let q, r = split_divisible k (to_linear a) in
+      let r_expr = of_linear r in
+      match bound ctx r_expr with
+      | Some { lo; hi } when lo >= 0 && hi < k -> of_linear q
+      | _ ->
+          if r.terms = [] && r.const = 0 then of_linear q
+          else Expr.Bin (Expr.Div, a, Expr.Int k)
+
+  and simplify_mod ctx a k =
+    if k = 1 then Expr.Int 0
+    else
+      let _, r = split_divisible k (to_linear a) in
+      let r_expr = of_linear r in
+      match bound ctx r_expr with
+      | Some { lo; hi } when lo >= 0 && hi < k -> r_expr
+      | _ ->
+          if r.terms = [] && r.const = 0 then Expr.Int 0
+          else Expr.Bin (Expr.Mod, of_linear (to_linear a), Expr.Int k)
+
+  and simplify_minmax ctx op a b =
+    match bound ctx (of_linear (to_linear (Expr.sub a b))) with
+    | Some { hi; _ } when hi <= 0 -> if op = Expr.Min then a else b
+    | Some { lo; _ } when lo >= 0 -> if op = Expr.Min then b else a
+    | _ -> Expr.Bin (op, a, b)
+
+  and simplify_cmp ctx op a b =
+    if not (Dtype.equal (Expr.dtype a) Dtype.Int) then Expr.cmp op a b
+    else
+      let diff = of_linear (to_linear (Expr.sub a b)) in
+      match (bound ctx diff, op) with
+      | Some { lo; hi }, _ when lo = hi -> Expr.Bool (Expr.eval_cmp_int op lo 0)
+      | Some { hi; _ }, Expr.Lt when hi < 0 -> Expr.Bool true
+      | Some { lo; _ }, Expr.Lt when lo >= 0 -> Expr.Bool false
+      | Some { hi; _ }, Expr.Le when hi <= 0 -> Expr.Bool true
+      | Some { lo; _ }, Expr.Le when lo > 0 -> Expr.Bool false
+      | Some { lo; _ }, Expr.Gt when lo > 0 -> Expr.Bool true
+      | Some { hi; _ }, Expr.Gt when hi <= 0 -> Expr.Bool false
+      | Some { lo; _ }, Expr.Ge when lo >= 0 -> Expr.Bool true
+      | Some { hi; _ }, Expr.Ge when hi < 0 -> Expr.Bool false
+      | Some { lo; hi }, Expr.Eq when lo > 0 || hi < 0 -> Expr.Bool false
+      | Some { lo; hi }, Expr.Ne when lo > 0 || hi < 0 -> Expr.Bool true
+      | _ -> Expr.cmp op a b
+end
+
+(* Variables built as records, so a case picks its ids (below 10^7) and its
+   names: [v0], [v1], [v12] and [v1o] start like a variable's old key, and
+   a pool draws names from a short list, so distinct variables share a
+   name and their [//], [%] and load atoms print alike and must merge. *)
+let gen_case =
+  let open QCheck2.Gen in
+  let names = [ "i"; "j"; "v0"; "v1"; "v12"; "v1o" ] in
+  let bufs = [| Buffer.create "A" [ 64 ] Dtype.Int; Buffer.create "v0_local" [ 64 ] Dtype.Int |] in
+  let* pool =
+    array_size (int_range 2 6)
+      (map2 (fun id name -> { Var.id; name; dtype = Dtype.Int }) (int_bound 9_999_999)
+         (oneofl names))
+  in
+  let* extents = array_size (return (Array.length pool)) (int_range 0 12) in
+  let ctx =
+    Array.fold_left
+      (fun (ctx, i) v ->
+        ((if extents.(i) = 0 then ctx else Simplify.with_extent ctx v extents.(i)), i + 1))
+      (Simplify.empty_ctx, 0) pool
+    |> fst
+  in
+  let k = int_range 1 8 in
+  let operand =
+    sized_size (int_bound 16)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ map (fun i -> Expr.Int (i - 5)) (int_bound 10);
+                 map (fun v -> Expr.Var v) (oneofa pool) ]
+           in
+           if n <= 0 then leaf
+           else
+             let sub = self (n / 2) in
+             frequency
+               [
+                 (2, leaf);
+                 (3, map2 (fun a b -> Expr.Bin (Expr.Add, a, b)) sub sub);
+                 (2, map2 (fun a b -> Expr.Bin (Expr.Sub, a, b)) sub sub);
+                 (2, map2 (fun a c -> Expr.Bin (Expr.Mul, a, Expr.Int (c - 4))) sub (int_bound 8));
+                 (1, map2 (fun a b -> Expr.Bin (Expr.Mul, a, b)) sub sub);
+                 (2, map2 (fun a c -> Expr.Bin (Expr.Div, a, Expr.Int c)) sub k);
+                 (2, map2 (fun a c -> Expr.Bin (Expr.Mod, a, Expr.Int c)) sub k);
+                 (1, map2 (fun a b -> Expr.Bin (Expr.Min, a, b)) sub sub);
+                 (1, map2 (fun b i -> Expr.Load (b, [ i ])) (oneofa bufs) sub);
+               ])
+  in
+  (* A sum of several operands, so most cases sort and merge terms. *)
+  let* first = operand in
+  let* rest = list_size (int_bound 5) (pair bool operand) in
+  let e =
+    List.fold_left
+      (fun acc (plus, o) -> Expr.Bin ((if plus then Expr.Add else Expr.Sub), acc, o))
+      first rest
+  in
+  return (ctx, e)
+
+let same_linear (a : Simplify.linear) (b : Simplify.linear) =
+  a.const = b.const
+  && List.length a.terms = List.length b.terms
+  && List.for_all2 (fun (x, c) (y, d) -> c = d && Expr.equal x y) a.terms b.terms
+
+let prop_order_matches_reference =
+  QCheck2.Test.make ~name:"to_linear and simplify match the string-keyed reference"
+    ~count:2000
+    ~print:(fun (_, e) -> Test_expr.reference_to_string e)
+    gen_case
+    (fun (ctx, e) ->
+      same_linear (Simplify.to_linear e) (Reference.to_linear e)
+      && Expr.equal (Simplify.simplify ctx e) (Reference.simplify ctx e))
+
+(* String keys read an id's digits: under them [a * 2 + v1 // 4] came out
+   in the other order once [a]'s id reached 10^7, and id 10^8 sorted
+   before 99,999,999. *)
+let test_order_ignores_id_digits () =
+  let var id name = { Var.id; name; dtype = Dtype.Int } in
+  let v1 = var 5 "v1" in
+  let show a =
+    Expr.to_string
+      (Simplify.simplify Simplify.empty_ctx
+         (Expr.add (Expr.mul (Expr.Var a) (Expr.Int 2)) (Expr.div (Expr.Var v1) (Expr.Int 4))))
+  in
+  Alcotest.(check string) "a at id 123" "a * 2 + v1 // 4" (show (var 123 "a"));
+  Alcotest.(check string) "a at id 12,345,678" "a * 2 + v1 // 4" (show (var 12_345_678 "a"));
+  let terms =
+    (Simplify.to_linear
+       (Expr.add (Expr.Var (var 100_000_000 "p")) (Expr.Var (var 99_999_999 "q"))))
+      .Simplify.terms
+  in
+  Alcotest.(check (list string)) "variables by id" [ "q"; "p" ]
+    (List.map (fun (a, _) -> Expr.to_string a) terms)
+
 (* --- iterator map detection (paper §3.3 examples) --- *)
 
 let detect domain bindings = Iter_map.detect ~domain ~bindings
@@ -209,6 +418,8 @@ let suite =
       ("min/max with bounds", `Quick, test_minmax_bounds);
       ("comparison proofs", `Quick, test_cmp_proofs);
       ("bound soundness (qcheck)", `Quick, test_bound_soundness);
+      QCheck_alcotest.to_alcotest prop_order_matches_reference;
+      ("term order ignores id digits", `Quick, test_order_ignores_id_digits);
       ("iter map: identity", `Quick, test_iter_map_identity);
       ("iter map: div/mod legal", `Quick, test_iter_map_divmod_legal);
       ("iter map: overlap illegal", `Quick, test_iter_map_overlap_illegal);

@@ -271,6 +271,26 @@ let test_tensorized_feature_flag () =
   let feats = Tir_autosched.Features.extract gpu f in
   Alcotest.(check (float 0.0)) "tensorized flag set" 1.0 feats.(11)
 
+(* The simplifier's term order once read the digits of variable ids, so a
+   search run after the process had created 10^7 variables could deliver a
+   structurally different best (a long-lived [serve] and a restarted one
+   disagreed). Caches are cleared so the second search rebuilds every
+   program with the new ids. *)
+let test_best_ignores_variable_count () =
+  let w = W.by_tag "C2D" in
+  let best () =
+    Tir_autosched.Eval.clear_caches ();
+    Tir_sched.Apply_cache.clear ();
+    match (Util.tune ~seed:7 ~trials:32 gpu w).Tune.best with
+    | Some b -> Fingerprint.to_hex (Fingerprint.func b.Tir_autosched.Evolutionary.func)
+    | None -> Alcotest.fail "no result"
+  in
+  let before = best () in
+  for _ = 1 to 20_000_000 do
+    ignore (Sys.opaque_identity (Var.fresh "t"))
+  done;
+  Alcotest.(check string) "same best after 2*10^7 more variables" before (best ())
+
 let suite =
   suite
   @ [
@@ -278,4 +298,5 @@ let suite =
       ("vendor coverage gaps", `Quick, test_vendor_unsupported_entries);
       ("feature vector shape", `Quick, test_features_dimension);
       ("tensorized feature flag", `Quick, test_tensorized_feature_flag);
+      ("best ignores how many variables exist", `Quick, test_best_ignores_variable_count);
     ]
