@@ -18,7 +18,7 @@
      tensorir top <telemetry-file>        render a serve telemetry snapshot
 
    Exit codes: 0 ok, 1 findings, 2 usage, then one per error kind
-   (Parse 3, Io 4, Corrupt 5, Timeout 6, Fault 7) and 8 when a session
+   (Parse 3, Io 4, Corrupt 5, Fault 7) and 8 when a session
    run halted early (tune --halt-after, serve --max-steps). *)
 
 open Cmdliner

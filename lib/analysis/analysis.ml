@@ -7,12 +7,11 @@
     (recorded on cache hits too), so totals stay bit-identical at any
     [TIR_JOBS] and identical with the cache on or off.
 
-    Results are memoized per structural fingerprint
-    ({!Tir_ir.Fingerprint.func}): the search evaluates many schedules that
-    lower to structurally identical functions, and analysis is pure, so a
-    fingerprint hit can return the cached diagnostics. The cache is on by
-    default; tests call [set_cache_enabled false] for their uncached
-    reference runs. *)
+    The race detector's output is memoized per structural fingerprint
+    ({!Tir_ir.Fingerprint.func}): the search certifies a candidate and
+    then asks for its errors, and analysis is pure, so the second call
+    reads what the first stored. The memo is on by default; tests call
+    [set_cache_enabled false] for their uncached reference runs. *)
 
 open Tir_ir
 module Metrics = Tir_obs.Metrics
@@ -37,20 +36,16 @@ let m_bounds = Metrics.counter "analysis.bounds"
 let count_kind ds kind =
   List.length (List.filter (fun (d : Diagnostic.t) -> d.kind = kind) ds)
 
-(* Fingerprint-keyed diagnostic caches. [race_memo] holds the race
-   detector's output alone (the part [certify] needs); [full_memo] holds
-   the merged, deduplicated output of all three analyses. *)
+(* Fingerprint-keyed race diagnostics: the part [certify] needs, which
+   [check_func] reads back for the same candidate. *)
 let race_memo : Diagnostic.t list Memo.t = Memo.create ~name:"analysis.race" ()
-let full_memo : Diagnostic.t list Memo.t = Memo.create ~name:"analysis.full" ()
 
 let cache_flag = ref true
 
 let cache_enabled () = !cache_flag
 let set_cache_enabled b = cache_flag := b
 
-let clear_cache () =
-  Memo.clear race_memo;
-  Memo.clear full_memo
+let clear_cache () = Memo.clear race_memo
 
 let key f = Fingerprint.to_hex (Fingerprint.func f)
 
@@ -61,13 +56,9 @@ let race_diags (f : Primfunc.t) =
 
 let check_func (f : Primfunc.t) : Diagnostic.t list =
   Metrics.incr m_checked;
-  let compute () =
-    let ds = race_diags f @ Region_check.check f @ Bounds_check.check f in
-    List.sort_uniq Diagnostic.compare ds
-  in
   let ds =
-    if !cache_flag then snd (Memo.find_or_add full_memo (key f) compute)
-    else compute ()
+    List.sort_uniq Diagnostic.compare
+      (race_diags f @ Region_check.check f @ Bounds_check.check f)
   in
   Metrics.add m_race (count_kind ds Diagnostic.Race);
   Metrics.add m_region (count_kind ds Diagnostic.Region_unsound);

@@ -1,8 +1,9 @@
 (** Semantic static analysis over [Primfunc.t]: data-race detection,
-    region-soundness checking, and bounds proving. Results are memoized
-    per structural fingerprint (on by default; see {!set_cache_enabled}).
-    Counters are recorded per call (cache hits included), so totals are
-    identical with the cache on or off and at any [TIR_JOBS]. *)
+    region-soundness checking, and bounds proving. The race detector's
+    output is memoized per structural fingerprint (on by default; see
+    {!set_cache_enabled}). Counters are recorded per call (cache hits
+    included), so totals are identical with the cache on or off and at
+    any [TIR_JOBS]. *)
 
 open Tir_ir
 
@@ -28,7 +29,10 @@ val lint : Primfunc.t -> Diagnostic.t list
 (** {1 Cache control} *)
 
 val cache_enabled : unit -> bool
+
+(** Switch the race memo, which [certify], [check_func] and their
+    derivatives share. *)
 val set_cache_enabled : bool -> unit
 
-(** Drop all memoized diagnostics and reset the memo counters. *)
+(** Drop the memoized race diagnostics and reset the memo counters. *)
 val clear_cache : unit -> unit

@@ -5,8 +5,8 @@
     dedup table, cost model, cumulative stats, generation counter) and
     {!step} advances it by exactly one generation — proposal fan-out,
     evaluation, ranked measurement, cost-model retrain, and the
-    per-generation metrics/trace/checkpoint flush. [Evolutionary.search],
-    [Tune.run] and [Session.run] are thin drivers that loop [step];
+    per-generation metrics/trace/checkpoint flush. [Tune.run] and
+    [Session.run] are thin loops over [step];
     schedulers that interleave many searches ([Tir_service.Scheduler])
     call [step] directly and get preemption at generation boundaries for
     free — a generation is the atomic unit of work, and everything a
@@ -109,6 +109,10 @@ let measurement_runs = 50.0
 (* Real tuners cap the per-candidate measurement time (min-repeat logic). *)
 let measurement_cap_us = 150_000.0
 
+(* Elites kept across generations, and candidates measured per generation. *)
+let population = 32
+let measure_batch = 16
+
 (* Where a proposal came from — drives the mutation-acceptance
    accounting. *)
 type origin = Seeded | Random | Mutation | Crossover
@@ -170,8 +174,6 @@ let new_gen_tally () =
   }
 
 type t = {
-  population : int;
-  measure_batch : int;
   use_cost_model : bool;
   evolve : bool;
   pool : Pool.t;
@@ -222,7 +224,7 @@ let spearman_of_pairs pairs =
     (Array.of_list (List.rev_map (fun (s, l) -> (s, -.l)) pairs))
 
 (** Cumulative rank correlation over every (score, latency) pair this
-    engine measured — NaN until two distinct pairs exist. *)
+    engine measured — 0.0 until two distinct pairs exist. *)
 let rank_corr t = spearman_of_pairs t.pairs
 
 let consider t (m : measured) =
@@ -233,7 +235,7 @@ let consider t (m : measured) =
       t.stats.best_curve <- (t.stats.trials, m.latency_us) :: t.stats.best_curve);
   t.elites <-
     List.filteri
-      (fun i _ -> i < t.population)
+      (fun i _ -> i < population)
       (List.sort (fun a b -> Float.compare a.latency_us b.latency_us) (m :: t.elites))
 
 (* --- proposal generation (slot-parallel, split RNG per slot) --- *)
@@ -542,9 +544,8 @@ let finish_generation t =
   t.gen <- t.gen + 1;
   t.tally <- new_gen_tally ()
 
-let create ?(population = 32) ?(measure_batch = 16) ?(use_cost_model = true)
-    ?(evolve = true) ?model ?group ?pool ?retry ?checkpoint ?resume
-    ~seed ~target ~trials (sketches : Sketch.t list) : t =
+let create ?(use_cost_model = true) ?(evolve = true) ?model ?group ?pool ?retry
+    ?checkpoint ?resume ~seed ~target ~trials (sketches : Sketch.t list) : t =
   let pool = match pool with Some p -> p | None -> Pool.global () in
   let model = match model with Some m -> m | None -> Model.gbdt () in
   let group =
@@ -552,8 +553,6 @@ let create ?(population = 32) ?(measure_batch = 16) ?(use_cost_model = true)
   in
   let t =
     {
-      population;
-      measure_batch;
       use_cost_model;
       evolve;
       pool;
@@ -620,12 +619,12 @@ let step t =
        that lets a resumed process (or a preempted engine) re-enter
        mid-search. *)
     let rng = Rng.for_generation ~seed:t.seed ~gen:t.gen in
-    let fresh = if t.elites = [] then t.population * 4 else t.population in
+    let fresh = if t.elites = [] then population * 4 else population in
     let seeds = if t.elites = [] then seeded_specs t else [] in
     let specs =
       if t.evolve then
-        seeds @ random_specs t rng fresh @ evolved_specs t rng (t.population * 2)
-      else seeds @ random_specs t rng (t.population * 3)
+        seeds @ random_specs t rng fresh @ evolved_specs t rng (population * 2)
+      else seeds @ random_specs t rng (population * 3)
     in
     match propose_all t specs with
     | [] ->
@@ -649,7 +648,7 @@ let step t =
             (fun ((a : float), _) (b, _) -> Float.compare b a)
             (List.combine scores cands)
         in
-        let batch = min t.measure_batch (t.trials - t.stats.trials) in
+        let batch = min measure_batch (t.trials - t.stats.trials) in
         measure_top t (List.filteri (fun i _ -> i < batch) ranked);
         Model.retrain t.model;
         let g = t.gen in

@@ -9,9 +9,8 @@
     ([Tir_service.Scheduler]) get preemption at generation boundaries for
     free, with per-tenant kill/resume bit-identity preserved.
 
-    [Evolutionary.search] is the single-engine driver; it re-exports all
-    the types below, so existing code keeps referring to
-    [Evolutionary.stats] etc. *)
+    [Evolutionary] re-exports all the types below, so existing code keeps
+    referring to [Evolutionary.stats] etc. *)
 
 open Tir_ir
 
@@ -75,11 +74,6 @@ type resume = {
 (** Fixed per-measurement overhead (compilation, transfer). *)
 val measurement_overhead_us : float
 
-(** Measurement repeats per candidate, capped at [measurement_cap_us]. *)
-val measurement_runs : float
-
-val measurement_cap_us : float
-
 type t
 
 type event =
@@ -97,23 +91,21 @@ type event =
           exhausted; the (empty) generation was still committed *)
   | Done  (** trial budget already reached; no work was performed *)
 
-(** Build an engine. Same contract as [Evolutionary.search]:
-    [use_cost_model:false] ranks randomly, [evolve:false] disables
-    mutation/crossover, [model] is the learned cost model ranking each
-    generation (default: a fresh [Model.gbdt ()]; pass a warm-started
-    model to transfer from earlier runs) and [group] the label
-    normalization group its samples are recorded under (default: the
-    target name; [Tune] passes ["target|workload"]), [pool] is the domain
-    pool the per-generation pipeline fans out across (default: the
-    process-wide [TIR_JOBS]-sized pool) and may be shared with other
-    engines, [retry] governs measurement fault retries,
-    [checkpoint]/[resume] are the WAL hooks and the rebuilt re-entry
-    state. Generation randomness derives from [(seed, gen)] only, so
+(** Build an engine that keeps 32 elites and measures up to 16
+    candidates a generation. [use_cost_model:false] ranks randomly,
+    [evolve:false] disables mutation/crossover, [model] is the learned
+    cost model ranking each generation (default: a fresh
+    [Model.gbdt ()]; pass a warm-started model to transfer from earlier
+    runs) and [group] the label normalization group its samples are
+    recorded under (default: the target name; [Tune] passes
+    ["target|workload"]), [pool] is the domain pool the per-generation
+    pipeline fans out across (default: the process-wide
+    [TIR_JOBS]-sized pool) and may be shared with other engines,
+    [retry] governs measurement fault retries, [checkpoint]/[resume]
+    are the WAL hooks and the rebuilt re-entry state. Generation randomness derives from [(seed, gen)] only, so
     results are bit-identical at any job count and under any interleaving
     of engines. *)
 val create :
-  ?population:int ->
-  ?measure_batch:int ->
   ?use_cost_model:bool ->
   ?evolve:bool ->
   ?model:Model.t ->
@@ -131,7 +123,19 @@ val create :
 (** Run exactly one generation (or report [Done] if the engine is already
     finished — [step] is idempotent past the end). The returned [t] is the
     same engine (state is mutated in place); the pair shape makes the
-    state-machine contract explicit. *)
+    state-machine contract explicit.
+
+    Candidates whose measurements exhaust [retry] are counted
+    [unmeasurable] and skipped: they never reach the cost model, the
+    elite set, or the checkpoint log. Every generation bumps the
+    [search.*] counters and the [costmodel.rank_corr] gauge in the
+    metrics registry. When tracing is on, it also records one
+    [gen.commit] instant carrying the generation's funnel (proposed,
+    deduped, invalid, unsound, inapplicable, memo hits and lookups,
+    measured, mutations, crossovers, accepted), the cumulative trials,
+    the best-so-far latency and the generation's model rank correlation
+    ([%h] floats). The counts are accumulated in the sequential
+    slot-order reduce, so they are bit-identical at any job count. *)
 val step : t -> t * event
 
 (** Trial budget reached or search space exhausted. *)

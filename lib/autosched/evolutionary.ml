@@ -4,9 +4,7 @@
     one [Engine.step] runs one generation (proposal fan-out, evaluation,
     ranked measurement, cost-model retrain, metrics/trace/checkpoint
     flush). This module re-exports the engine's types under their
-    historical names and provides [search], the run-to-completion driver:
-    it loops [Engine.step] until the trial budget is reached or the space
-    is exhausted.
+    historical names; [Tune] and [Tir_service.Session] drive the engine.
 
     All determinism properties are the engine's: generation randomness
     derives from [(seed, gen)] only, pool fan-outs reduce in slot order,
@@ -58,20 +56,3 @@ type resume = Engine.resume = {
 }
 
 let measurement_overhead_us = Engine.measurement_overhead_us
-let measurement_runs = Engine.measurement_runs
-let measurement_cap_us = Engine.measurement_cap_us
-
-let search ?population ?measure_batch ?use_cost_model ?evolve ?model ?group
-    ?pool ?retry ?checkpoint ?resume ~seed ~target ~trials
-    (sketches : Sketch.t list) : result =
-  let e =
-    Engine.create ?population ?measure_batch ?use_cost_model ?evolve ?model
-      ?group ?pool ?retry ?checkpoint ?resume ~seed ~target ~trials
-      sketches
-  in
-  let rec drive () =
-    match Engine.step e with
-    | _, Engine.Stepped _ -> drive ()
-    | _, (Engine.Exhausted _ | Engine.Done) -> Engine.result e
-  in
-  drive ()

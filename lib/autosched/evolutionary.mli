@@ -4,7 +4,7 @@
 
     The loop itself is {!Engine} (an explicit [step]-per-generation state
     machine); this module re-exports its types under their historical
-    names and provides the run-to-completion driver [search]. *)
+    names. *)
 
 open Tir_ir
 
@@ -67,53 +67,3 @@ type resume = Engine.resume = {
 
 (** Fixed per-measurement overhead (compilation, transfer). *)
 val measurement_overhead_us : float
-
-(** Measurement repeats per candidate, capped at [measurement_cap_us]. *)
-val measurement_runs : float
-
-val measurement_cap_us : float
-
-(** Run the search for [trials] measured candidates.
-    [use_cost_model:false] ranks randomly; [evolve:false] disables
-    mutation/crossover (pure random search) — both are ablations.
-    [pool] is the domain pool the candidate pipeline fans out across
-    (default: the process-wide [TIR_JOBS]-sized pool); results are
-    bit-identical at any job count for a fixed [seed].
-
-    Each generation draws from its own [(seed, gen)]-derived stream
-    ([Rng.for_generation]), so a process resumed from a checkpoint
-    ([resume]) re-enters any generation with bit-identical randomness.
-    [retry] governs measurement fault retries and the per-candidate
-    measurement budget ([Eval.measure_cached]); candidates whose
-    measurements exhaust it are counted [unmeasurable] and skipped —
-    they never reach the cost model, the elite set, or the checkpoint
-    log.
-
-    [model]/[group] select the learned cost model and its label
-    normalization group, as in [Engine.create].
-
-    Every generation bumps the [search.*] counters and the
-    [costmodel.rank_corr] gauge in the metrics registry. When tracing is
-    on, it also records one [gen.commit] instant carrying the
-    generation's funnel (proposed, deduped, invalid, unsound,
-    inapplicable, memo hits and lookups, measured, mutations, crossovers,
-    accepted), the cumulative trials, the best-so-far latency and the
-    generation's model rank correlation ([%h] floats). The counts are
-    accumulated in the sequential slot-order reduce, so they are
-    bit-identical at any job count too. *)
-val search :
-  ?population:int ->
-  ?measure_batch:int ->
-  ?use_cost_model:bool ->
-  ?evolve:bool ->
-  ?model:Model.t ->
-  ?group:string ->
-  ?pool:Tir_parallel.Pool.t ->
-  ?retry:Tir_parallel.Retry.policy ->
-  ?checkpoint:checkpoint ->
-  ?resume:resume ->
-  seed:int ->
-  target:Tir_sim.Target.t ->
-  trials:int ->
-  Sketch.t list ->
-  result

@@ -1,6 +1,5 @@
-(** Learned cost models (paper §4.4): a first-class model interface with
-    two implementations — the rank-trained GBDT and the analytic prior —
-    plus a versioned on-disk store for cross-workload warm starts.
+(** The learned cost model (paper §4.4): a rank-trained GBDT, plus a
+    versioned on-disk store for cross-workload warm starts.
 
     The search only consumes the order a model induces over a population,
     so the GBDT trains on a pairwise rank loss with labels normalized per
@@ -18,71 +17,50 @@ type stats = {
 
 exception Parse_error of string
 
-(** The model interface. [add] records one measurement under a group
-    (labels are only compared within a group); [retrain] refits;
-    [score]/[score_batch] rank feature vectors (higher = predicted
-    faster); [save]/[load] round-trip the full training state
-    bit-identically, so a loaded model can keep training. *)
-module type S = sig
-  type t
-
-  val kind : string
-  val create : unit -> t
-  val add : t -> group:string -> features:float array -> latency_us:float -> unit
-  val retrain : t -> unit
-  val score : t -> float array -> float
-  val score_batch : t -> float array array -> float array
-
-  val iter_samples :
-    t -> (group:string -> features:float array -> latency_us:float -> unit) -> unit
-
-  val save : t -> string
-  val load : string -> t
-  val stats : t -> stats
-end
-
-(** The rank-trained GBDT (default): per-group throughput labels, signed
-    log1p feature squashing, [Gbdt.fit_rank] pairwise training. A group's
-    sample count is capped (512); deterministic first-come retention. *)
-module Gbdt_rank : S
-
-(** The stateless analytic prior (prefer tensorized, high-occupancy
-    programs) behind the same interface — [add]/[retrain] are no-ops. *)
-module Analytic : S
-
-(** The analytic scoring function itself, on raw feature vectors. *)
-val prior : float array -> float
-
-(** A model packed with its implementation. *)
+(** The model: per-group throughput labels, signed log1p feature
+    squashing, [Gbdt.fit_rank] pairwise training. A group's sample count
+    is capped (512); deterministic first-come retention. *)
 type t
 
+(** A fresh, untrained model. *)
 val gbdt : unit -> t
-val analytic : unit -> t
-val kind : t -> string
+
+(** Record one measurement under [group] (labels are only compared
+    within a group). *)
 val add : t -> group:string -> features:float array -> latency_us:float -> unit
+
+(** Refit the ensemble on every sample. *)
 val retrain : t -> unit
+
+(** Rank a feature vector (higher = predicted faster). Before the first
+    [retrain] this is an analytic prior that prefers tensorized,
+    high-occupancy programs. *)
 val score : t -> float array -> float
+
+(** Same values as mapping [score]; one ensemble pass. *)
 val score_batch : t -> float array array -> float array
 
+(** Visit every sample in insertion order (the store's merge path). *)
 val iter_samples :
   t -> (group:string -> features:float array -> latency_us:float -> unit) -> unit
 
-(** Serialized snapshot (versioned, percent-escaped text; [%h] floats).
-    [save -> load -> save] is bit-identical. *)
+(** Serialized snapshot (versioned, percent-escaped text; [%h] floats):
+    the full sample set plus the fitted ensemble, if any.
+    [save -> load -> save] is bit-identical, and a loaded model can keep
+    training. *)
 val save : t -> string
 
-(** Load any snapshot, dispatching on its header kind. Raises
-    {!Parse_error} on malformed input. *)
+(** Inverse of [save]. Raises {!Parse_error} on malformed input. *)
 val load : string -> t
 
 val stats : t -> stats
 
 (** How a tuning config (or a WAL meta record) names its model: a fresh
-    instance, or a warm start from a serialized snapshot. [Warm] embeds
+    GBDT, or a warm start from a serialized snapshot. [Warm] embeds
     the full snapshot text — the session WAL records it verbatim, which is
     what keeps kill+resume bit-identical while the live store file keeps
     absorbing other runs. *)
-type spec = Gbdt | Analytic | Warm of string
+type spec = Gbdt | Warm of string
 
 val of_spec : spec -> t
 

@@ -74,9 +74,8 @@ module Config = struct
         (** measurement fault retries + per-candidate budget *)
     model : Model.spec;
         (** which cost model ranks candidates: a fresh learner
-            ([Model.Gbdt], the default), the analytic prior, or a
-            warm-start snapshot ([Model.Warm]) carried over from earlier
-            runs *)
+            ([Model.Gbdt], the default) or a warm-start snapshot
+            ([Model.Warm]) carried over from earlier runs *)
   }
 
   let default =

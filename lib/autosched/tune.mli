@@ -51,9 +51,8 @@ module Config : sig
         (** measurement fault retries + per-candidate budget *)
     model : Model.spec;
         (** which cost model ranks candidates: a fresh learner
-            ([Model.Gbdt], the default), the analytic prior, or a
-            warm-start snapshot ([Model.Warm]) carried over from earlier
-            runs *)
+            ([Model.Gbdt], the default) or a warm-start snapshot
+            ([Model.Warm]) carried over from earlier runs *)
   }
 
   (** seed 42, 64 trials, cost model + evolution on, no sketches /
@@ -120,7 +119,7 @@ val release : driver -> unit
 
     Phases run under [Tir_obs.Trace] spans ([tune.sketch_gen],
     [tune.db_replay], [tune.search]), and each search generation records
-    a [gen.commit] instant ([Evolutionary.search]). Event identities are
+    a [gen.commit] instant ([Engine.step]). Event identities are
     bit-identical at any job count; only timings vary.
 
     [checkpoint]/[resume] wire the search's write-ahead hooks

@@ -2,7 +2,7 @@
     failure, a carrier exception for paths that cannot return [result],
     and the CLI's kind-to-exit-code mapping. *)
 
-type kind = Parse | Io | Corrupt | Timeout | Fault
+type kind = Parse | Io | Corrupt | Fault
 
 type t = { kind : kind; context : string option; message : string }
 
@@ -19,14 +19,12 @@ let kind_name = function
   | Parse -> "parse"
   | Io -> "io"
   | Corrupt -> "corrupt"
-  | Timeout -> "timeout"
   | Fault -> "fault"
 
 let exit_code = function
   | Parse -> 3
   | Io -> 4
   | Corrupt -> 5
-  | Timeout -> 6
   | Fault -> 7
 
 let to_string e =

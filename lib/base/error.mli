@@ -14,7 +14,6 @@ type kind =
   | Io  (** the operating system refused (missing file, permissions) *)
   | Corrupt  (** a stored artifact violates its own format (database /
                  WAL structure, failed integrity checks) *)
-  | Timeout  (** a deadline or per-candidate measurement budget expired *)
   | Fault  (** an injected or unrecoverable fault exhausted its retries *)
 
 type t = {
@@ -35,8 +34,8 @@ val errorf : ?context:string -> kind -> ('a, unit, string, t) format4 -> 'a
 
 val kind_name : kind -> string
 
-(** Distinct CLI exit code per kind: Parse 3, Io 4, Corrupt 5, Timeout 6,
-    Fault 7 (0 = success, 1 = findings, 2 = usage). *)
+(** Distinct CLI exit code per kind: Parse 3, Io 4, Corrupt 5, Fault 7
+    (0 = success, 1 = findings, 2 = usage). *)
 val exit_code : kind -> int
 
 val to_string : t -> string

@@ -79,77 +79,6 @@ let eval_cmp_int op a b =
   | Gt -> a > b
   | Ge -> a >= b
 
-(* ------------------------------------------------------------------ *)
-(* Hash-consing                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Hash-consing is *opt-in* ([intern] below), not wired into the smart
-   constructors: benchmarking the search hot path showed a per-construction
-   table probe taxing every stage that builds expressions (schedule
-   application, the bounds prover's simplifier, the machine model) by ~3x
-   for a sharing win the pipeline never cashes in — program identity there
-   is carried by structural fingerprints ([Fingerprint]), not physical
-   identity. Callers that hold many structurally-overlapping trees alive
-   (pattern tables, long-lived caches) canonicalize explicitly with
-   [intern]; [equal] keeps its [(==)] fast path, which interned values hit
-   every time.
-
-   The intern table is keyed by *shallow* equality — constructor and leaf
-   payloads compared by value, child expressions by physical identity.
-   This is sound without any global invariant: [intern] canonicalizes
-   children first, so shallow equality coincides with structural equality
-   on that path; a tree that was never interned merely misses sharing, it
-   is never wrongly identified. Floats are compared by bit pattern so the
-   table invariant ([equal] entries hash alike under the structural
-   [Hashtbl.hash]) holds even for NaNs and signed zeros. *)
-
-let phys_list_equal a b =
-  List.length a = List.length b && List.for_all2 ( == ) a b
-
-let shallow_equal (x : t) (y : t) =
-  match (x, y) with
-  | Int a, Int b -> a = b
-  | Float (a, da), Float (b, db) ->
-      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) && Dtype.equal da db
-  | Bool a, Bool b -> a = b
-  | Var a, Var b -> Var.equal a b
-  | Bin (o1, a1, b1), Bin (o2, a2, b2) -> o1 = o2 && a1 == a2 && b1 == b2
-  | Cmp (o1, a1, b1), Cmp (o2, a2, b2) -> o1 = o2 && a1 == a2 && b1 == b2
-  | And (a1, b1), And (a2, b2) | Or (a1, b1), Or (a2, b2) -> a1 == a2 && b1 == b2
-  | Not a1, Not a2 -> a1 == a2
-  | Select (c1, a1, b1), Select (c2, a2, b2) -> c1 == c2 && a1 == a2 && b1 == b2
-  | Cast (d1, a1), Cast (d2, a2) -> Dtype.equal d1 d2 && a1 == a2
-  | Load (b1, i1), Load (b2, i2) | Ptr (b1, i1), Ptr (b2, i2) ->
-      Buffer.equal b1 b2 && phys_list_equal i1 i2
-  | Call (n1, d1, a1), Call (n2, d2, a2) ->
-      String.equal n1 n2 && Dtype.equal d1 d2 && phys_list_equal a1 a2
-  | _ -> false
-
-module Intern = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = shallow_equal
-
-  (* Depth-limited structural hash: shallow-equal nodes are structurally
-     equal trees, hence hash alike; collisions only cost a bucket scan
-     resolved by [shallow_equal]. *)
-  let hash = Hashtbl.hash
-end)
-
-let intern_cap = 1 lsl 17
-
-let intern_tbl : t Intern.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Intern.create 4096)
-
-let hashcons (e : t) : t =
-  let tbl = Domain.DLS.get intern_tbl in
-  match Intern.find_opt tbl e with
-  | Some c -> c
-  | None ->
-      if Intern.length tbl >= intern_cap then Intern.reset tbl;
-      Intern.add tbl e e;
-      e
-
 let bin op a b =
   match (op, a, b) with
   | _, Int x, Int y -> Int (eval_int_binop op x y)
@@ -204,26 +133,6 @@ let load buf indices = Load (buf, indices)
 
 let select c t f =
   match c with Bool true -> t | Bool false -> f | _ -> Select (c, t, f)
-
-(* Structure-preserving deep canonicalization: rebuilds every node with
-   canonical children and interns it, without re-running the folding smart
-   constructors (so [intern e] is always structurally equal to [e]). *)
-let rec intern e =
-  let e =
-    match e with
-    | Int _ | Float _ | Bool _ | Var _ -> e
-    | Bin (op, a, b) -> Bin (op, intern a, intern b)
-    | Cmp (op, a, b) -> Cmp (op, intern a, intern b)
-    | And (a, b) -> And (intern a, intern b)
-    | Or (a, b) -> Or (intern a, intern b)
-    | Not a -> Not (intern a)
-    | Select (c, a, b) -> Select (intern c, intern a, intern b)
-    | Cast (dt, a) -> Cast (dt, intern a)
-    | Load (b, idx) -> Load (b, List.map intern idx)
-    | Call (n, dt, args) -> Call (n, dt, List.map intern args)
-    | Ptr (b, idx) -> Ptr (b, List.map intern idx)
-  in
-  hashcons e
 
 (** Infix operators for index arithmetic. *)
 module Infix = struct
@@ -332,7 +241,7 @@ let rec equal_with veq a b =
   | _ -> false
 
 (* Physical identity as the fast path: shared subtrees (rebuilds that keep
-   untouched children, interned values) short-circuit. *)
+   untouched children) short-circuit. *)
 let equal a b = a == b || equal_with Var.equal a b
 
 let binop_symbol = function

@@ -67,20 +67,6 @@ val float : ?dtype:Dtype.t -> float -> t
 val load : Buffer.t -> t list -> t
 val select : t -> t -> t -> t
 
-(** {2 Hash-consing}
-
-    Smart constructors intern the nodes they build in a per-domain table,
-    so structurally equal expressions built through them on one domain are
-    physically equal and [equal] short-circuits on [(==)]. *)
-
-(** Intern one node whose children are already canonical. *)
-val hashcons : t -> t
-
-(** Recursively canonicalize an arbitrary tree (structure-preserving: no
-    folding is applied). After [intern], structural equality of two interned
-    trees coincides with physical equality on the same domain. *)
-val intern : t -> t
-
 (** Infix operators for index arithmetic. *)
 module Infix : sig
   val ( +: ) : t -> t -> t

@@ -26,9 +26,6 @@ val of_int : int -> t
     instruction streams: [combine a b <> combine b a]. *)
 val combine : t -> t -> t
 
-val expr : Expr.t -> t
-val stmt : Stmt.t -> t
-
 (** Fingerprint of a whole function (name, params, attrs, body). Cached
     per-domain by physical identity — fingerprinting the same function
     value repeatedly is O(1). *)

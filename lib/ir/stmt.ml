@@ -85,7 +85,7 @@ let make_block ?(init = None) ?(alloc = []) ?(annotations = []) ~name ~iter_vars
   { name; iter_vars; reads; writes; init; alloc; annotations; body }
 
 (* ------------------------------------------------------------------ *)
-(* Structural equality and hash-consing                                *)
+(* Structural equality                                                *)
 (* ------------------------------------------------------------------ *)
 
 let list_equal eq a b = List.length a = List.length b && List.for_all2 eq a b
@@ -99,8 +99,8 @@ let region_equal r1 r2 =
 let iter_var_equal i1 i2 =
   Var.equal i1.var i2.var && i1.extent = i2.extent && i1.itype = i2.itype
 
-(** Structural equality; physical identity is a fast path, so hash-consed
-    subtrees compare in O(1). *)
+(** Structural equality; physical identity is a fast path, so subtrees a
+    rebuild shares compare in O(1). *)
 let rec equal (a : t) (b : t) =
   a == b
   ||
@@ -128,105 +128,6 @@ let rec equal (a : t) (b : t) =
       Expr.equal c1 c2 && equal t1 t2 && Option.equal equal e1 e2
   | Eval e1, Eval e2 -> Expr.equal e1 e2
   | _ -> false
-
-(* Shallow equality for the intern table: child statements and (interned)
-   child expressions by physical identity, leaf payloads by value. As with
-   [Expr], a node whose children are canonical is identified with its
-   structural class; anything else just misses sharing. *)
-let phys_opt_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> x == y
-  | _ -> false
-
-let shallow_equal (x : t) (y : t) =
-  match (x, y) with
-  | For r1, For r2 ->
-      r1.body == r2.body && Var.equal r1.loop_var r2.loop_var
-      && r1.extent = r2.extent && r1.kind = r2.kind
-      && r1.annotations = r2.annotations
-  | Block b1, Block b2 ->
-      let k1 = b1.block and k2 = b2.block in
-      k1.body == k2.body
-      && phys_opt_equal k1.init k2.init
-      && list_equal ( == ) b1.iter_values b2.iter_values
-      && b1.predicate == b2.predicate
-      && String.equal k1.name k2.name
-      && list_equal iter_var_equal k1.iter_vars k2.iter_vars
-      && list_equal
-           (fun r1 r2 ->
-             Buffer.equal r1.buffer r2.buffer
-             && list_equal (fun (m1, e1) (m2, e2) -> m1 == m2 && e1 = e2) r1.region
-                  r2.region)
-           k1.reads k2.reads
-      && list_equal
-           (fun r1 r2 ->
-             Buffer.equal r1.buffer r2.buffer
-             && list_equal (fun (m1, e1) (m2, e2) -> m1 == m2 && e1 = e2) r1.region
-                  r2.region)
-           k1.writes k2.writes
-      && list_equal Buffer.equal k1.alloc k2.alloc
-      && k1.annotations = k2.annotations
-  | Store (b1, i1, v1), Store (b2, i2, v2) ->
-      Buffer.equal b1 b2 && list_equal ( == ) i1 i2 && v1 == v2
-  | Seq s1, Seq s2 -> list_equal ( == ) s1 s2
-  | If (c1, t1, e1), If (c2, t2, e2) ->
-      c1 == c2 && t1 == t2 && phys_opt_equal e1 e2
-  | Eval e1, Eval e2 -> e1 == e2
-  | _ -> false
-
-module Intern = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = shallow_equal
-  let hash = Hashtbl.hash
-end)
-
-let intern_cap = 1 lsl 16
-
-let intern_tbl : t Intern.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Intern.create 1024)
-
-let intern_node (s : t) : t =
-  let tbl = Domain.DLS.get intern_tbl in
-  match Intern.find_opt tbl s with
-  | Some c -> c
-  | None ->
-      if Intern.length tbl >= intern_cap then Intern.reset tbl;
-      Intern.add tbl s s;
-      s
-
-let region_intern r =
-  { r with region = List.map (fun (mn, ext) -> (Expr.intern mn, ext)) r.region }
-
-(** Recursively canonicalize a statement tree (structure-preserving).
-    After [hashcons], structural equality of two canonicalized trees
-    coincides with physical equality on the same domain. *)
-let rec hashcons (s : t) : t =
-  let s =
-    match s with
-    | For r -> For { r with body = hashcons r.body }
-    | Block br ->
-        let k = br.block in
-        Block
-          {
-            iter_values = List.map Expr.intern br.iter_values;
-            predicate = Expr.intern br.predicate;
-            block =
-              {
-                k with
-                reads = List.map region_intern k.reads;
-                writes = List.map region_intern k.writes;
-                init = Option.map hashcons k.init;
-                body = hashcons k.body;
-              };
-          }
-    | Store (b, idx, v) -> Store (b, List.map Expr.intern idx, Expr.intern v)
-    | Seq ss -> Seq (List.map hashcons ss)
-    | If (c, t, e) -> If (Expr.intern c, hashcons t, Option.map hashcons e)
-    | Eval e -> Eval (Expr.intern e)
-  in
-  intern_node s
 
 (** [map_children f s] rebuilds [s] with [f] applied to each direct child
     statement (entering blocks' init and body). *)

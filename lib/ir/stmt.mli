@@ -78,14 +78,9 @@ val make_block :
   block
 
 (** Structural equality (expressions via [Expr.equal], variables and
-    buffers by id); physical identity is a fast path, so hash-consed
-    subtrees compare in O(1). *)
+    buffers by id); physical identity is a fast path, so subtrees a
+    rebuild shares compare in O(1). *)
 val equal : t -> t -> bool
-
-(** Recursively canonicalize a statement tree in the per-domain intern
-    tables (structure-preserving). Two structurally equal trees
-    canonicalized on the same domain are physically equal. *)
-val hashcons : t -> t
 
 (** Rebuild with [f] on each direct child statement (enters block init and
     body). *)

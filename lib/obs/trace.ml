@@ -4,12 +4,12 @@
 
    Determinism contract (mirrors Metrics): an event's *identity* is its
    kind, name, context, args and counter value. Timestamps, durations,
-   self-time, the recording domain (track) and the enclosing span stack
-   are placement- and time-derived views — they vary run to run and
-   between job counts (a task that runs inline at TIR_JOBS=1 runs on a
-   worker domain at TIR_JOBS=4), so they are excluded from identity. A
-   deterministic workload records a bit-identical multiset of identities
-   at any TIR_JOBS; [identities ()] returns it sorted for comparison.
+   self-time and the recording domain (track) are placement- and
+   time-derived views — they vary run to run and between job counts (a
+   task that runs inline at TIR_JOBS=1 runs on a worker domain at
+   TIR_JOBS=4), so they are excluded from identity. A deterministic
+   workload records a bit-identical multiset of identities at any
+   TIR_JOBS; [identities ()] returns it sorted for comparison.
 
    Recording is off by default and near-free when disabled (one atomic
    load per site). Context propagation is dynamically scoped via
@@ -41,7 +41,6 @@ type event = {
   e_dur_us : float;  (* Span only; not identity *)
   e_self_us : float;  (* Span only; not identity *)
   e_track : int;  (* recording domain; not identity *)
-  e_stack : string list;  (* enclosing spans, outermost first; not identity *)
 }
 
 (* --- enable / capacity --- *)
@@ -70,11 +69,11 @@ let recorded = Atomic.make 0
 let dropped = Atomic.make 0
 let m_dropped = Metrics.counter "trace.dropped"
 
-(* --- dynamically scoped context and span stack --- *)
+(* --- dynamically scoped context and open spans --- *)
 
 let ctx_key = Domain.DLS.new_key (fun () -> empty_ctx)
 
-type frame = { f_name : string; f_start : float; mutable f_child_us : float }
+type frame = { f_start : float; mutable f_child_us : float }
 
 let stack_key : frame list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
@@ -113,9 +112,6 @@ let push e =
     Mutex.unlock s.lock
   end
 
-let stack_names () =
-  List.rev_map (fun f -> f.f_name) (Domain.DLS.get stack_key)
-
 let instant ?(args = []) name =
   if is_enabled () then
     push
@@ -129,7 +125,6 @@ let instant ?(args = []) name =
         e_dur_us = 0.0;
         e_self_us = 0.0;
         e_track = (Domain.self () :> int);
-        e_stack = stack_names () @ [ name ];
       }
 
 let counter ?(args = []) name value =
@@ -147,14 +142,13 @@ let counter ?(args = []) name value =
         e_dur_us = 0.0;
         e_self_us = 0.0;
         e_track = (Domain.self () :> int);
-        e_stack = [];
       }
 
 let with_span ?(args = []) name f =
   if not (is_enabled ()) then f ()
   else begin
     let start = Clock.now_us () in
-    let frame = { f_name = name; f_start = start; f_child_us = 0.0 } in
+    let frame = { f_start = start; f_child_us = 0.0 } in
     let outer = Domain.DLS.get stack_key in
     Domain.DLS.set stack_key (frame :: outer);
     Fun.protect
@@ -175,7 +169,6 @@ let with_span ?(args = []) name f =
             e_dur_us = dur;
             e_self_us = Float.max 0.0 (dur -. frame.f_child_us);
             e_track = (Domain.self () :> int);
-            e_stack = List.rev_map (fun fr -> fr.f_name) outer @ [ name ];
           })
       f
   end
@@ -361,42 +354,3 @@ let validate_chrome src =
       evs;
     Ok !n
   with J.Invalid msg -> Error msg
-
-(* --- collapsed-stacks export (flamegraph.pl / speedscope format:
-   "outer;inner self_us" per line, sorted, deterministic given
-   deterministic self-times) --- *)
-
-let export_collapsed () =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      if e.e_kind = Span then begin
-        let key = String.concat ";" e.e_stack in
-        let cur = try Hashtbl.find tbl key with Not_found -> 0.0 in
-        Hashtbl.replace tbl key (cur +. e.e_self_us)
-      end)
-    (events ());
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b k;
-      Buffer.add_char b ' ';
-      Buffer.add_string b (string_of_int (int_of_float (Float.round v)));
-      Buffer.add_char b '\n')
-    rows;
-  Buffer.contents b
-
-let parse_collapsed src =
-  String.split_on_char '\n' src
-  |> List.filter (fun l -> String.length l > 0)
-  |> List.map (fun line ->
-         match String.rindex_opt line ' ' with
-         | None -> failwith ("collapsed stack line without a count: " ^ line)
-         | Some i ->
-             let stack = String.sub line 0 i in
-             let count =
-               int_of_string (String.sub line (i + 1) (String.length line - i - 1))
-             in
-             (stack, count))

@@ -6,9 +6,9 @@
     land here, and [tensorir report] reads the Chrome export back.
 
     Determinism contract: an event's {e identity} is its kind, name,
-    context, args, and counter value. Timestamps, durations, self-times,
-    the recording domain (track) and the enclosing span stack are time-
-    and placement-derived and excluded — a deterministic workload records
+    context, args, and counter value. Timestamps, durations, self-times
+    and the recording domain (track) are time- and placement-derived and
+    excluded — a deterministic workload records
     a bit-identical multiset of identities at any [TIR_JOBS].
     Recording is disabled by default; every site is one atomic load when
     off. *)
@@ -73,7 +73,6 @@ type event = {
   e_dur_us : float;
   e_self_us : float;
   e_track : int;
-  e_stack : string list;
 }
 
 (** All recorded events in a stable total order: timestamp, then
@@ -97,10 +96,3 @@ val export_chrome : unit -> string
     phases, finite non-negative sorted timestamps, and tenant/job
     context on every non-metadata event. Returns the event count. *)
 val validate_chrome : string -> (int, string) result
-
-(** Flamegraph collapsed-stacks dump: one ["outer;inner self_us"] line
-    per distinct span stack, sorted. [parse_collapsed] inverts it
-    (raises [Failure] on a malformed line). *)
-val export_collapsed : unit -> string
-
-val parse_collapsed : string -> (string * int) list

@@ -185,7 +185,6 @@ let m_tasks = Tir_obs.Metrics.counter "pool.tasks"
 let m_region_size = Tir_obs.Metrics.histogram "pool.region_size"
 let m_busy_frac = Tir_obs.Metrics.gauge "pool.busy_frac"
 let m_queue_depth = Tir_obs.Metrics.gauge "pool.queue_depth"
-let m_deadline = Tir_obs.Metrics.counter "pool.deadline_expired"
 
 (* Wall-clock-weighted utilization behind [pool.busy_frac]. Each task's
    execution time is sampled inside the claim loop and accumulates into
@@ -226,12 +225,12 @@ let busy_frac_sample ~busy_us =
 let queue_waiters = Atomic.make 0
 let queue_depth () = Atomic.get queue_waiters
 
-(** [parallel_iteri t ?chunk ?deadline_us n f] runs [f i] for [0 <= i < n]
-    across the pool. Any exception from [f] is re-raised in the caller;
-    when several indices fail, the one with the smallest index wins.
-    Regions are serialized: concurrent callers queue, and a nested call
-    from inside a running region degrades to a sequential loop. *)
-let parallel_iteri t ?chunk ?deadline_us n (f : int -> unit) =
+(** [parallel_iteri t n f] runs [f i] for [0 <= i < n] across the pool.
+    Any exception from [f] is re-raised in the caller; when several
+    indices fail, the one with the smallest index wins. Regions are
+    serialized: concurrent callers queue, and a nested call from inside
+    a running region degrades to a sequential loop. *)
+let parallel_iteri t n (f : int -> unit) =
   if n <= 0 then ()
   else begin
   Tir_obs.Metrics.incr m_regions;
@@ -276,43 +275,16 @@ let parallel_iteri t ?chunk ?deadline_us n (f : int -> unit) =
           ~args:[ ("i", string_of_int i) ]
           (fun () -> task i))
   in
-  let region_start = Tir_obs.Clock.now_us () in
-  let deadline =
-    match deadline_us with
-    | None -> Float.infinity
-    | Some d -> region_start +. Float.max 0.0 d
-  in
-  let expired = Atomic.make false in
-  let check_expired () =
-    Atomic.get expired
-    || Float.is_finite deadline
-       && Tir_obs.Clock.now_us () > deadline
-       && begin
-            Atomic.set expired true;
-            true
-          end
-  in
-  let raise_expired done_n =
-    Tir_obs.Metrics.incr m_deadline;
-    Tir_core.Error.raise_error ~context:"pool" Tir_core.Error.Timeout
-      (Printf.sprintf "region %d exceeded its deadline after %d/%d tasks"
-         region_id done_n n)
-  in
-  if t.jobs = 1 || n = 1 || Domain.DLS.get in_region then begin
-    let i = ref 0 in
+  if t.jobs = 1 || n = 1 || Domain.DLS.get in_region then
     Fun.protect
       ~finally:(fun () -> busy_frac_sample ~busy_us:(Atomic.get region_busy))
       (fun () ->
-        while !i < n && not (check_expired ()) do
-          timed !i;
-          incr i
-        done);
-    if !i < n then raise_expired !i
-  end
+        for i = 0 to n - 1 do
+          timed i
+        done)
   else begin
-    let chunk = match chunk with Some c -> max 1 c | None -> default_chunk n t.jobs in
+    let chunk = default_chunk n t.jobs in
     let cursor = Atomic.make 0 in
-    let completed = Atomic.make 0 in
     let failure : (int * exn * Printexc.raw_backtrace) option Atomic.t =
       Atomic.make None
     in
@@ -328,17 +300,13 @@ let parallel_iteri t ?chunk ?deadline_us n (f : int -> unit) =
     let run _seq =
       Domain.DLS.set in_region true;
       let rec claim () =
-        if not (check_expired ()) then begin
-          let lo = Atomic.fetch_and_add cursor chunk in
-          if lo < n then begin
-            let hi = min n (lo + chunk) in
-            for i = lo to hi - 1 do
-              match timed i with
-              | () -> ignore (Atomic.fetch_and_add completed 1)
-              | exception e -> record_failure i e (Printexc.get_raw_backtrace ())
-            done;
-            claim ()
-          end
+        let lo = Atomic.fetch_and_add cursor chunk in
+        if lo < n then begin
+          let hi = min n (lo + chunk) in
+          for i = lo to hi - 1 do
+            try timed i with e -> record_failure i e (Printexc.get_raw_backtrace ())
+          done;
+          claim ()
         end
       in
       Tir_obs.Trace.with_ambient trace_ctx claim;
@@ -369,28 +337,22 @@ let parallel_iteri t ?chunk ?deadline_us n (f : int -> unit) =
     Tir_obs.Metrics.set m_queue_depth
       (float_of_int (Atomic.fetch_and_add queue_waiters (-1) - 1));
     busy_frac_sample ~busy_us:(Atomic.get region_busy);
-    (match Atomic.get failure with
+    match Atomic.get failure with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> if Atomic.get expired then raise_expired (Atomic.get completed))
+    | None -> ()
   end
   end
 
 (** Order-preserving parallel map over an array. *)
-let parallel_map t ?chunk ?deadline_us (f : 'a -> 'b) (xs : 'a array) : 'b array =
+let parallel_map t (f : 'a -> 'b) (xs : 'a array) : 'b array =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    parallel_iteri t ?chunk ?deadline_us n (fun i -> out.(i) <- Some (f xs.(i)));
+    parallel_iteri t n (fun i -> out.(i) <- Some (f xs.(i)));
     Array.map Option.get out
   end
 
 (** Order-preserving parallel map over a list. *)
-let parallel_map_list t ?chunk ?deadline_us (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  Array.to_list (parallel_map t ?chunk ?deadline_us f (Array.of_list xs))
-
-(** Order-preserving parallel filter_map over a list: [f] runs in parallel,
-    [None] results are dropped, survivors keep their input order. *)
-let parallel_filter_map t ?chunk ?deadline_us (f : 'a -> 'b option) (xs : 'a list) :
-    'b list =
-  List.filter_map Fun.id (parallel_map_list t ?chunk ?deadline_us f xs)
+let parallel_map_list t (f : 'a -> 'b) (xs : 'a list) : 'b list =
+  Array.to_list (parallel_map t f (Array.of_list xs))

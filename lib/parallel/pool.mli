@@ -51,17 +51,9 @@ val global : unit -> t
 val shutdown : t -> unit
 
 (** [parallel_iteri t n f] runs [f i] for [0 <= i < n] across the pool in
-    dynamically claimed chunks ([chunk] overrides the chunk size). If any
-    [f i] raises, the exception of the smallest failing index is re-raised
-    in the caller after the region drains.
-
-    [deadline_us] bounds the wall-clock duration of the region: once the
-    budget (measured from region start) expires, no further tasks are
-    started and the call raises [Tir_core.Error.Error] with kind
-    [Timeout] after the region drains (a failure from [f] takes
-    precedence). This is the escape hatch against a genuinely hung
-    region; per-candidate determinism is handled by the simulated
-    measurement budget in [Retry.policy] instead.
+    dynamically claimed chunks. If any [f i] raises, the exception of the
+    smallest failing index is re-raised in the caller after the region
+    drains.
 
     When fault injection is configured for the [Pool_task] site
     ([Tir_core.Fault]), each task absorbs its injected failures through
@@ -74,18 +66,10 @@ val shutdown : t -> unit
     rather than corrupting each other's region, and a nested call from
     inside [f] degrades to a plain sequential loop instead of
     deadlocking. *)
-val parallel_iteri :
-  t -> ?chunk:int -> ?deadline_us:float -> int -> (int -> unit) -> unit
+val parallel_iteri : t -> int -> (int -> unit) -> unit
 
 (** Order-preserving parallel map over an array. *)
-val parallel_map :
-  t -> ?chunk:int -> ?deadline_us:float -> ('a -> 'b) -> 'a array -> 'b array
+val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** Order-preserving parallel map over a list. *)
-val parallel_map_list :
-  t -> ?chunk:int -> ?deadline_us:float -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Order-preserving parallel filter_map: [None] results are dropped,
-    survivors keep their input order. *)
-val parallel_filter_map :
-  t -> ?chunk:int -> ?deadline_us:float -> ('a -> 'b option) -> 'a list -> 'b list
+val parallel_map_list : t -> ('a -> 'b) -> 'a list -> 'b list

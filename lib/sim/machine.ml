@@ -329,65 +329,6 @@ let tally_of_nest target (s : Stmt.t) =
     s;
   t
 
-(* Per-nest tally cache, keyed by the nest's structural fingerprint.
-   Candidate schedules in one search population differ in a few decisions
-   but share whole stages structurally — the global<->shared copy nests a
-   cache_read inserts are rebuilt with fresh [Var]s on every apply, yet
-   spell out the same program whenever the relevant tile sizes agree. The
-   tally is a pure function of program structure (names, extents, shapes
-   — never ids), so a fingerprint hit can reuse the stored tally, and the
-   fingerprint walk is a single cheap traversal against the tally walk's
-   per-access stride analysis (simplifier + bound queries per load/store).
-   Per-domain (no locks); entries are treated as immutable after
-   insertion. [measure_us] deliberately does NOT use this cache: it feeds
-   the [sim.*] registry counters per nest walked, and skipping walks would
-   make those totals depend on cache state. *)
-module FpTbl = Hashtbl.Make (struct
-  type t = int64
-
-  let equal = Int64.equal
-  let hash k = Int64.to_int k land max_int
-end)
-
-let nest_cache_cap = 1 lsl 12
-
-let nest_cache : (Target.t * tally) FpTbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> FpTbl.create 256)
-
-let nest_cache_hits = Atomic.make 0
-let nest_cache_misses = Atomic.make 0
-
-(** Cumulative (process-wide) per-nest tally cache hits/misses. *)
-let nest_cache_stats () = (Atomic.get nest_cache_hits, Atomic.get nest_cache_misses)
-
-(* Off only where a test compares the cache with a direct walk. *)
-let nest_cache_enabled = ref true
-
-let set_nest_cache_enabled b = nest_cache_enabled := b
-
-(** Drop the calling domain's nest-tally cache and zero the counters
-    (tests, and the bench before each cold pass). *)
-let nest_cache_clear () =
-  FpTbl.reset (Domain.DLS.get nest_cache);
-  Atomic.set nest_cache_hits 0;
-  Atomic.set nest_cache_misses 0
-
-let tally_of_nest_cached target (s : Stmt.t) =
-  if not !nest_cache_enabled then tally_of_nest target s
-  else
-    let tbl = Domain.DLS.get nest_cache in
-    let key = Fingerprint.stmt s in
-    match FpTbl.find_opt tbl key with
-    | Some (tt, t) when tt == target ->
-        Atomic.incr nest_cache_hits;
-        t
-    | _ ->
-        Atomic.incr nest_cache_misses;
-        let t = tally_of_nest target s in
-        if FpTbl.length tbl >= nest_cache_cap then FpTbl.reset tbl;
-        FpTbl.replace tbl key (target, t);
-        t
-
 let clampf lo hi x = Float.max lo (Float.min hi x)
 
 (* Latency of one root-level nest, in microseconds. *)
@@ -501,17 +442,14 @@ let measure_us ?fault_key target (f : Primfunc.t) =
 
 (** Aggregate tally for the whole function (feature extraction): work and
     traffic sum across root-level nests; parallelism shape takes the
-    maximum (nests are separate kernels, not multiplied). Per-nest results
-    come from the cache keyed by the nest's structural fingerprint, so
-    candidates that share unchanged stages with other schedules in the
-    population only re-walk the nests their decisions actually touched. *)
+    maximum (nests are separate kernels, not multiplied). *)
 let tally_func target (f : Primfunc.t) =
   let root = Primfunc.root_block f in
   let nests = match root.Stmt.body with Stmt.Seq ss -> ss | s -> [ s ] in
   let acc = new_tally () in
   List.iter
     (fun nest ->
-      let t = tally_of_nest_cached target nest in
+      let t = tally_of_nest target nest in
       acc.scalar_ops <- acc.scalar_ops +. t.scalar_ops;
       acc.special_ops <- acc.special_ops +. t.special_ops;
       acc.tensor_flops <- acc.tensor_flops +. t.tensor_flops;

@@ -55,21 +55,6 @@ val nest_latency_us : Target.t -> tally -> float
 val measure_us : ?fault_key:string -> Target.t -> Primfunc.t -> float
 
 (** Whole-function tally for feature extraction: work sums across nests,
-    parallelism takes the maximum. Per-nest tallies are served from a
-    per-domain cache keyed by the nest's structural fingerprint
-    ({!Tir_ir.Fingerprint.stmt}), so candidate programs that share
-    unchanged stages with the rest of the population only re-walk the
-    nests their decisions touched. ([measure_us] does not use the cache:
-    it feeds the [sim.*] counters per nest walked.) *)
+    parallelism takes the maximum. Unlike [measure_us], it feeds no
+    counter. *)
 val tally_func : Target.t -> Primfunc.t -> tally
-
-(** Cumulative (process-wide) hits/misses of the per-nest tally cache. *)
-val nest_cache_stats : unit -> int * int
-
-(** Toggle the per-nest tally cache (on by default). Results are
-    bit-identical either way; tests turn it off for their reference
-    runs. *)
-val set_nest_cache_enabled : bool -> unit
-
-(** Drop the calling domain's nest-tally cache and zero its counters. *)
-val nest_cache_clear : unit -> unit

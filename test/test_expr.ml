@@ -50,7 +50,22 @@ let test_equal_with () =
   Alcotest.(check bool) "not equal plain" false (equal e1 e2);
   Alcotest.(check bool) "equal with correspondence" true
     (equal_with (fun a b -> Var.equal a x && Var.equal b y) e2 e1 |> fun _ ->
-     equal_with (fun a b -> Var.equal a y && Var.equal b x) e2 e1)
+     equal_with (fun a b -> Var.equal a y && Var.equal b x) e2 e1);
+  (* Structural copies share no node with the original, so [equal]
+     decides them by structure, past its physical-identity fast path. *)
+  let rec copy e = map_children copy e in
+  let e3 = max_ (sub (mul (Var x) (Int 3)) (Var y)) (div (Var y) (Int 2)) in
+  let c3 = copy e3 in
+  Alcotest.(check bool) "copy is a distinct value" false (e3 == c3);
+  Alcotest.(check bool) "copy is equal" true (equal e3 c3);
+  Alcotest.(check bool) "changed copy is not equal" false
+    (equal e3 (max_ (sub (mul (Var x) (Int 3)) (Var y)) (div (Var y) (Int 3))));
+  let body = (Util.matmul_relu ()).Primfunc.body in
+  let rec copy_stmt s = Stmt.map_children copy_stmt (Stmt.map_exprs copy s) in
+  Alcotest.(check bool) "statement copy is equal" true
+    (Stmt.equal body (copy_stmt body));
+  Alcotest.(check bool) "changed statement copy is not equal" false
+    (Stmt.equal body (copy_stmt (Stmt.Seq [ body; body ])))
 
 let test_dtype () =
   let open Expr in

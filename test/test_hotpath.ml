@@ -1,13 +1,9 @@
-(** Properties of the hash-consed / incremental search hot path.
+(** Properties of the incremental search hot path.
 
-    The bench's headline claim is that the optimized evaluation pipeline
-    (knob pre-filter, cached schedule application, decision-key memo,
-    fingerprint post-memo, per-nest tally cache) is *only* faster — never
-    different. These tests pin that down:
+    The optimized evaluation pipeline (knob pre-filter, cached schedule
+    application, decision-key memo) is *only* faster — never different.
+    These tests pin that down:
 
-    - interning: physical equality after [intern]/[hashcons] coincides
-      with structural equality, on random expressions and on real program
-      bodies;
     - the optimized pipeline classifies every decision vector exactly as
       the pre-refactor pipeline does, fingerprints and feature vectors
       included, across random mutation chains and with the apply cache
@@ -15,7 +11,6 @@
     - a schedule follows the apply cache only while it hits: one
       application misses at most once, and the k-th application of one
       decision vector hits k - 1 times before it misses;
-    - the per-nest tally cache does not change extracted features;
     - evaluation is deterministic across domains (jobs=1 vs jobs=4). *)
 
 open Tir_ir
@@ -23,65 +18,9 @@ module Space = Tir_autosched.Space
 module Sk = Tir_autosched.Sketch
 module CM = Tir_autosched.Eval
 module AC = Tir_sched.Apply_cache
-module Machine = Tir_sim.Machine
 module Rng = Tir_autosched.Rng
 module W = Tir_workloads.Workloads
 module Pool = Tir_parallel.Pool
-
-(* --- interning: physical equality iff structural equality --- *)
-
-let vars = Array.init 4 (fun i -> Var.fresh (Printf.sprintf "hc%d" i))
-
-let gen_expr =
-  let open QCheck2.Gen in
-  sized
-  @@ fix (fun self n ->
-         if n <= 0 then
-           oneof
-             [
-               map (fun i -> Expr.Int (i - 8)) (int_bound 16);
-               map (fun i -> Expr.Var vars.(i)) (int_bound 3);
-             ]
-         else
-           let sub = self (n / 2) in
-           oneof
-             [
-               map2 Expr.add sub sub;
-               map2 Expr.sub sub sub;
-               map2 (fun a k -> Expr.mul a (Expr.Int (k + 1))) sub (int_bound 4);
-               map2 (fun a k -> Expr.div a (Expr.Int (k + 1))) sub (int_bound 7);
-               map2 Expr.min_ sub sub;
-               map2 Expr.max_ sub sub;
-             ])
-
-(* Fresh structural copy: rebuilds every node through the smart
-   constructors, so no subtree is shared with the original. *)
-let rec copy_expr e = Expr.map_children copy_expr e
-
-let prop_intern_phys_iff_structural =
-  QCheck2.Test.make ~name:"intern: physical equality iff structural equality"
-    ~count:500
-    QCheck2.Gen.(triple gen_expr gen_expr bool)
-    (fun (a, b, use_copy) ->
-      (* Random pairs are almost never equal; the [use_copy] half builds
-         the positive cases from a disjoint structural copy. *)
-      let b = if use_copy then copy_expr a else b in
-      let ia = Expr.intern a and ib = Expr.intern b in
-      Expr.equal a b = (ia == ib)
-      (* idempotent: interning a canonical tree is the identity *)
-      && Expr.intern ia == ia)
-
-let test_stmt_hashcons () =
-  let f = Util.matmul_relu () in
-  let body = f.Primfunc.body in
-  let rec copy_stmt s =
-    Stmt.map_children copy_stmt (Stmt.map_exprs copy_expr s)
-  in
-  let copy = copy_stmt body in
-  Alcotest.(check bool) "copy is structurally equal" true (Stmt.equal body copy);
-  Alcotest.(check bool)
-    "hashcons canonicalizes both trees to one" true
-    (Stmt.hashcons body == Stmt.hashcons copy)
 
 (* --- optimized pipeline == pre-refactor pipeline --- *)
 
@@ -220,36 +159,6 @@ let test_decision_key_memo () =
       done)
     (sketches ())
 
-(* The per-nest tally cache must not change extracted features. *)
-let test_nest_cache_transparent () =
-  let rng = Rng.create 4242 in
-  List.iter
-    (fun (sk : Sk.t) ->
-      let found = ref 0 in
-      let tries = ref 0 in
-      while !found < 8 && !tries < 200 do
-        incr tries;
-        let d = Space.random_decisions rng sk.Sk.knobs in
-        match CM.evaluate ~target:gpu sk d with
-        | CM.Evaluated { func; _ } ->
-            incr found;
-            Machine.set_nest_cache_enabled false;
-            Machine.nest_cache_clear ();
-            let cold = Tir_autosched.Features.extract gpu func in
-            Machine.set_nest_cache_enabled true;
-            let warm1 = Tir_autosched.Features.extract gpu func in
-            let warm2 = Tir_autosched.Features.extract gpu func in
-            Alcotest.(check (array (float 0.0)))
-              "features: cache off vs on" cold warm1;
-            Alcotest.(check (array (float 0.0)))
-              "features: cache miss vs hit" warm1 warm2
-        | _ -> ()
-      done;
-      Alcotest.(check bool)
-        (sk.Sk.name ^ ": found evaluable vectors")
-        true (!found > 0))
-    (sketches ())
-
 (* Evaluation is a pure function of (sketch, decisions): a 4-domain pool
    computing the same vectors must produce the fingerprints and feature
    vectors the sequential run produced. *)
@@ -272,9 +181,6 @@ let test_parallel_evaluate_deterministic () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_intern_phys_iff_structural;
-    Alcotest.test_case "stmt hashcons canonicalizes structural copies" `Quick
-      test_stmt_hashcons;
     Alcotest.test_case "optimized pipeline == naive pipeline on mutation chains"
       `Slow test_evaluate_matches_naive;
     Alcotest.test_case "apply cache is followed only while it hits" `Quick
@@ -283,8 +189,6 @@ let suite =
       test_prefilter_exact;
     Alcotest.test_case "decision-key memo hit == miss" `Quick
       test_decision_key_memo;
-    Alcotest.test_case "nest tally cache is transparent" `Slow
-      test_nest_cache_transparent;
     Alcotest.test_case "parallel evaluation deterministic (jobs 1 vs 4)" `Slow
       test_parallel_evaluate_deterministic;
   ]

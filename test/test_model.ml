@@ -1,6 +1,7 @@
-(** The pluggable cost-model API: rank-trained GBDT quality (Spearman on
-    synthetic data, rank loss vs least-squares on mixed latency scales),
-    bit-identical save/load, spec round-trips, and the warm-start store. *)
+(** The cost model: rank-trained GBDT quality (Spearman on synthetic
+    data, rank loss vs least-squares on mixed latency scales), the
+    untrained prior, bit-identical save/load, spec round-trips, and the
+    warm-start store. *)
 
 module Model = Tir_autosched.Model
 module Gbdt = Tir_autosched.Gbdt
@@ -90,8 +91,9 @@ let test_rank_beats_regression_on_mixed_scales () =
     (Printf.sprintf "rank %.3f beats regression %.3f by 0.5" rank_b reg_b)
     true (rank_b > reg_b +. 0.5)
 
+(* An untrained model scores by the analytic prior. *)
 let test_analytic_prefers_tensorized () =
-  let m = Model.analytic () in
+  let m = Model.gbdt () in
   let plain = Array.make dim 0.0 in
   let tensorized = Array.make dim 0.0 in
   tensorized.(11) <- 1.0;
@@ -124,16 +126,11 @@ let test_save_load_bit_identical () =
   Model.retrain m2;
   let st = Model.stats m2 in
   Alcotest.(check int) "samples kept" 61 st.Model.samples;
-  Alcotest.(check int) "groups kept" 3 st.Model.groups
-
-let test_save_load_analytic_and_errors () =
-  let a = Model.analytic () in
-  let s = Model.save a in
-  Alcotest.(check string) "analytic kind" "analytic" (Model.kind (Model.load s));
+  Alcotest.(check int) "groups kept" 3 st.Model.groups;
   (match Model.load "garbage" with
   | _ -> Alcotest.fail "expected Parse_error"
   | exception Model.Parse_error _ -> ());
-  match Model.load (s ^ "\nextra") with
+  match Model.load (s1 ^ "extra\n") with
   | _ -> Alcotest.fail "expected Parse_error on trailing junk"
   | exception Model.Parse_error _ -> ()
 
@@ -143,7 +140,7 @@ let test_spec_roundtrip () =
     (fun spec ->
       Alcotest.(check bool) "spec round-trips" true
         (Model.spec_of_string (Model.spec_to_string spec) = spec))
-    [ Model.Gbdt; Model.Analytic; Model.spec_of_string warm ];
+    [ Model.Gbdt; Model.spec_of_string warm ];
   match Model.spec_of_string "nonsense" with
   | _ -> Alcotest.fail "expected Parse_error"
   | exception Model.Parse_error _ -> ()
@@ -367,10 +364,8 @@ let test_warm_spec_restores_model () =
   let warm = Model.of_spec (Model.Warm (Model.save m)) in
   Alcotest.(check string) "warm start restores the snapshot" (Model.save m)
     (Model.save warm);
-  Alcotest.(check string) "fresh gbdt spec" "gbdt-rank"
-    (Model.kind (Model.of_spec Model.Gbdt));
-  Alcotest.(check string) "analytic spec" "analytic"
-    (Model.kind (Model.of_spec Model.Analytic))
+  Alcotest.(check string) "fresh gbdt spec" (Model.save (Model.gbdt ()))
+    (Model.save (Model.of_spec Model.Gbdt))
 
 let suite =
   [
@@ -382,8 +377,6 @@ let suite =
       test_analytic_prefers_tensorized;
     Alcotest.test_case "save/load bit-identical, keeps training" `Quick
       test_save_load_bit_identical;
-    Alcotest.test_case "analytic round-trip, garbage rejected" `Quick
-      test_save_load_analytic_and_errors;
     Alcotest.test_case "spec round-trips" `Quick test_spec_roundtrip;
     Alcotest.test_case "tuned model snapshot identical jobs=1 vs 4" `Quick
       test_tuned_model_save_jobs_identical;

@@ -22,19 +22,13 @@ let test_map_order () =
         (Array.map (fun i -> (i * 7) + 1) xs)
         ys)
 
-let test_map_list_and_filter () =
+let test_map_list () =
   with_pool 4 (fun pool ->
       let xs = List.init 500 (fun i -> i) in
       Alcotest.(check (list int))
         "map_list preserves order"
         (List.map (fun i -> i * 2) xs)
-        (Pool.parallel_map_list pool (fun i -> i * 2) xs);
-      Alcotest.(check (list int))
-        "filter_map keeps survivors in order"
-        (List.filter (fun i -> i mod 3 = 0) xs)
-        (Pool.parallel_filter_map pool
-           (fun i -> if i mod 3 = 0 then Some i else None)
-           xs))
+        (Pool.parallel_map_list pool (fun i -> i * 2) xs))
 
 let test_many_regions () =
   (* Regression: workers must wake for every region, not just the first
@@ -229,7 +223,7 @@ let test_default_jobs_env () =
 let suite =
   [
     Alcotest.test_case "pool: map preserves order" `Quick test_map_order;
-    Alcotest.test_case "pool: list map and filter_map" `Quick test_map_list_and_filter;
+    Alcotest.test_case "pool: list map preserves order" `Quick test_map_list;
     Alcotest.test_case "pool: many regions reuse workers" `Quick test_many_regions;
     Alcotest.test_case "pool: exception propagation" `Quick test_exception_propagation;
     Alcotest.test_case "pool: nested regions run sequentially" `Quick

@@ -90,9 +90,9 @@ let test_stepper_matches_run () =
 (* --- error surface -------------------------------------------------- *)
 
 let test_error_kinds_and_exit_codes () =
-  let kinds = Error.[ Parse; Io; Corrupt; Timeout; Fault ] in
+  let kinds = Error.[ Parse; Io; Corrupt; Fault ] in
   let codes = List.map Error.exit_code kinds in
-  Alcotest.(check (list int)) "distinct stable exit codes" [ 3; 4; 5; 6; 7 ]
+  Alcotest.(check (list int)) "distinct stable exit codes" [ 3; 4; 5; 7 ]
     codes;
   List.iter
     (fun k ->

@@ -65,8 +65,6 @@ let test_span_nesting () =
   let span name = List.find (fun e -> e.Trace.e_name = name) (Trace.events ()) in
   let outer = span "outer" and inner = span "inner" in
   Alcotest.(check int) "two spans" 2 (Trace.counts ()).Trace.spans;
-  Alcotest.(check (list string)) "outer stack" [ "outer" ] outer.Trace.e_stack;
-  Alcotest.(check (list string)) "inner stack" [ "outer"; "inner" ] inner.Trace.e_stack;
   Alcotest.(check bool) "inner within outer" true (inner.Trace.e_dur_us <= outer.Trace.e_dur_us);
   Alcotest.(check bool) "self time excludes the child" true
     (outer.Trace.e_self_us <= outer.Trace.e_dur_us -. inner.Trace.e_dur_us +. 1e-6)
@@ -143,32 +141,6 @@ let test_chrome_validator_rejects () =
   | Ok 1 -> ()
   | Ok n -> Alcotest.failf "expected 1 event, got %d" n
   | Error e -> Alcotest.failf "counter ctx rejected: %s" e
-
-(* --- collapsed stacks --- *)
-
-let test_collapsed_roundtrip () =
-  Trace.with_ctx ~tenant:"test" (fun () ->
-      Trace.with_span "a" (fun () ->
-          Trace.with_span "b" (fun () -> ());
-          Trace.with_span "b" (fun () -> ()));
-      Trace.with_span "c" (fun () -> ()));
-  let dump = Trace.export_collapsed () in
-  let stacks = Trace.parse_collapsed dump in
-  Alcotest.(check (list string)) "stack keys, sorted, merged duplicates"
-    [ "a"; "a;b"; "c" ]
-    (List.map fst stacks);
-  List.iter
-    (fun (_, self) ->
-      Alcotest.(check bool) "self time non-negative" true (self >= 0))
-    stacks;
-  let rerendered =
-    String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf "%s %d\n" k v) stacks)
-  in
-  Alcotest.(check string) "parse inverts export" dump rerendered;
-  Alcotest.check_raises "malformed line rejected"
-    (Failure "collapsed stack line without a count: nocount") (fun () ->
-      ignore (Trace.parse_collapsed "nocount"))
 
 (* --- stall watchdog --- *)
 
@@ -270,7 +242,6 @@ let suite =
     Alcotest.test_case "chrome: export validates" `Quick (traced test_chrome_export_valid);
     Alcotest.test_case "chrome: validator rejects bad traces" `Quick
       test_chrome_validator_rejects;
-    Alcotest.test_case "collapsed: roundtrip" `Quick (traced test_collapsed_roundtrip);
     Alcotest.test_case "stall: threshold edges" `Quick test_stall_threshold_edges;
     Alcotest.test_case "telemetry: render/parse roundtrip" `Quick
       test_telemetry_roundtrip;
