@@ -573,9 +573,9 @@ let legality_bench () =
   in
   (* Function-level agreement: a proven-illegal certificate must coincide
      exactly with an error-severity race diagnostic from the dynamic
-     analyzers. The two sides run through different memo tables
-     (certify through the race memo, check_func through the full one),
-     so this also asserts the tables stay coherent. *)
+     analyzers. Both sides read the race memo: certify judges its
+     diagnostics alone, and check_func merges them with the region and
+     bounds checks, so this asserts the merge keeps every race error. *)
   let race_error f =
     List.exists
       (fun (d : D.t) -> D.is_error d && d.D.kind = D.Race)
@@ -660,11 +660,11 @@ let db_bench () =
 (* obs: causal-trace self-check                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Tracing is enabled for the whole bench run (everything below the
-   [with_ctx ~tenant:"bench"] wrapper records), so this section checks
-   the full trace: the Chrome export validates and nothing was dropped.
-   The event count moves whenever a span does, so its row asserts only
-   that the trace is not empty. *)
+(* Tracing is enabled for one section, [service], which runs the engine
+   under the scheduler and the job queue (see [traced]), so this section
+   checks that trace: the Chrome export validates and nothing was
+   dropped. The event count moves whenever a span does, so its row
+   asserts only that the trace is not empty. *)
 let obs_summary () =
   section "obs" "causal trace: event counts and export validity";
   let c = Trace.counts () in
@@ -962,14 +962,18 @@ let costmodel_bench () =
   count "costmodel" "trials_to_best_cold" to_cold;
   count "costmodel" "trials_to_best_warm" (if to_warm = max_int then budget else to_warm)
 
+(* Record [f]'s events for [obs_summary]; each carries at least the bench
+   tenant, which the Chrome-trace validator requires. Recording the whole
+   run instead cost the fast bench about half a gigabyte of peak RSS and
+   seconds of export at the end. *)
+let traced f =
+  Trace.enable ();
+  Fun.protect ~finally:Trace.disable (fun () -> Trace.with_ctx ~tenant:"bench" f)
+
 let () =
   (* Monotone clock (never runs backwards under wall-clock adjustment), so
      section walls and the total are always non-negative. *)
   let t0 = Clock.now_s () in
-  (* Record the whole run: every event below carries at least the bench
-     tenant, which the Chrome-trace validator requires. *)
-  Trace.enable ();
-  Trace.with_ctx ~tenant:"bench" @@ fun () ->
   Fmt.pr "bench: jobs=%d%s@." (Tir_parallel.Pool.default_jobs ())
     (if fast then " (BENCH_FAST)" else "");
   let timed name f =
@@ -989,7 +993,7 @@ let () =
   timed "legality" legality_bench;
   timed "db" db_bench;
   timed "session" session_bench;
-  timed "service" service_bench;
+  timed "service" (fun () -> traced service_bench);
   timed "costmodel" costmodel_bench;
   obs_summary ();
   registry_rows ();

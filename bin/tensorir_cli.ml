@@ -666,12 +666,15 @@ let report_cmd =
     in
     let last f = match List.rev gens with g :: _ -> f g | [] -> Float.nan in
     Fmt.pr "@.summary: %d generation(s)@." (List.length gens);
-    Fmt.pr "  proposed %d (+%d deduped), invalid %d, unsound %d, inapplicable %d@."
-      (total "proposed") (total "deduped") (total "invalid") (total "unsound")
-      (total "inapplicable");
-    Fmt.pr "  measured %d (memo hits %d of %d lookups), mutations %d, crossovers %d, accepted %d@."
-      (total "measured") (total "memo_hits") (total "lookups") (total "mutations")
-      (total "crossovers") (total "accepted");
+    Fmt.pr
+      "  proposed %d (+%d deduped): inapplicable %d, unsupported %d, invalid %d, unsound %d, \
+       unchecked %d, measured %d, unmeasurable %d@."
+      (total "proposed") (total "deduped") (total "inapplicable") (total "unsupported")
+      (total "invalid") (total "unsound") (total "unchecked") (total "measured")
+      (total "unmeasurable");
+    Fmt.pr "  memo hits %d of %d lookups, mutations %d, crossovers %d, accepted %d@."
+      (total "memo_hits") (total "lookups") (total "mutations") (total "crossovers")
+      (total "accepted");
     Fmt.pr "  best latency: %.2f us; best-so-far monotone: %b@." (last best) monotone;
     Fmt.pr "  cost-model rank correlation (last generation): %.2f@.@." (last rank_corr)
   in

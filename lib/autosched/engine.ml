@@ -4,7 +4,7 @@
     state machine: an [Engine.t] holds the full search state (elite set,
     dedup table, cost model, cumulative stats, generation counter) and
     {!step} advances it by exactly one generation — proposal fan-out,
-    evaluation, ranked measurement, cost-model retrain, and the
+    preparation, ranking, checks, measurement, cost-model retrain, and the
     per-generation metrics/trace/checkpoint flush. [Tune.run] and
     [Session.run] are thin loops over [step];
     schedulers that interleave many searches ([Tir_service.Scheduler])
@@ -12,6 +12,21 @@
     free — a generation is the atomic unit of work, and everything a
     generation writes (WAL records, metrics, trace events) is committed
     before [step] returns.
+
+    Rank before checking. [Eval.prepare] applies and featurizes every
+    fresh candidate; the cost model scores them all and a stable sort
+    ranks them. Only then are candidates checked ([Eval.check]: §3.3
+    validation, legality certificate, analyzers), in rank order, in
+    rounds sized to the number still missing from the measurement batch,
+    and the first [min 16 (trials - done)] that pass are measured. That
+    is the set checking every candidate first would measure, because the
+    model scores each candidate on its own and the sort is stable; the
+    candidates ranked below the cut are never checked. So [search.invalid],
+    [search.unsound], [search.pruned_static] and the [legality.*] and
+    [analysis.*] counters count only candidates that reached the cut, and
+    [search.unchecked] counts the rest. Without a cost model the random
+    ranking draws one number per passing candidate, so there every
+    candidate is checked before the draw.
 
     Every determinism property of the monolithic loop is preserved:
     generation randomness derives from [(seed, gen)] alone
@@ -40,8 +55,8 @@ type measured = {
 type stats = {
   mutable trials : int;  (** programs measured on hardware *)
   mutable proposed : int;  (** programs proposed by the search *)
-  mutable invalid : int;  (** rejected by the §3.3 validator *)
-  mutable unsound : int;  (** rejected by the semantic analyzer *)
+  mutable invalid : int;  (** rejected by the §3.3 validator (checked ones) *)
+  mutable unsound : int;  (** rejected by the semantic analyzer (checked ones) *)
   mutable inapplicable : int;  (** decision vectors the sketch rejects *)
   mutable unmeasurable : int;
       (** candidates dropped after measurement faults exhausted their
@@ -123,6 +138,8 @@ let m_deduped = Metrics.counter "search.deduped"
 let m_invalid = Metrics.counter "search.invalid"
 let m_unsound = Metrics.counter "search.unsound"
 let m_inapplicable = Metrics.counter "search.inapplicable"
+let m_unsupported = Metrics.counter "search.unsupported"
+let m_unchecked = Metrics.counter "search.unchecked"
 let m_trials = Metrics.counter "search.trials"
 let m_generations = Metrics.counter "search.generations"
 let m_mutations = Metrics.counter "search.mutations"
@@ -146,6 +163,8 @@ type gen_tally = {
   mutable g_invalid : int;
   mutable g_unsound : int;
   mutable g_inapplicable : int;
+  mutable g_unsupported : int;  (** the machine model cannot run it *)
+  mutable g_unchecked : int;  (** ranked below the measurement cut *)
   mutable g_memo_hits : int;
   mutable g_lookups : int;  (** memo probes this generation (hit-rate base) *)
   mutable g_measured : int;
@@ -163,6 +182,8 @@ let new_gen_tally () =
     g_invalid = 0;
     g_unsound = 0;
     g_inapplicable = 0;
+    g_unsupported = 0;
+    g_unchecked = 0;
     g_memo_hits = 0;
     g_lookups = 0;
     g_measured = 0;
@@ -301,8 +322,24 @@ let seeded_specs t =
         ])
     t.sketches
 
-(* Dedup in slot order, evaluate the fresh candidates across the pool
-   (memoized apply/validate/extract), account in slot order. *)
+(* Count a candidate the pipeline rejected. *)
+let reject t (ev : Eval.evaluation) =
+  let g = t.tally in
+  match ev with
+  | Eval.Inapplicable ->
+      t.stats.inapplicable <- t.stats.inapplicable + 1;
+      g.g_inapplicable <- g.g_inapplicable + 1
+  | Eval.Invalid ->
+      t.stats.invalid <- t.stats.invalid + 1;
+      g.g_invalid <- g.g_invalid + 1
+  | Eval.Unsound ->
+      t.stats.unsound <- t.stats.unsound + 1;
+      g.g_unsound <- g.g_unsound + 1
+  | Eval.Unsupported -> g.g_unsupported <- g.g_unsupported + 1
+  | Eval.Evaluated _ -> invalid_arg "Engine.reject: an evaluated candidate"
+
+(* Dedup in slot order, prepare the fresh candidates across the pool
+   (memoized apply/extract), account in slot order. *)
 let propose_all t specs =
   let g = t.tally in
   let fresh =
@@ -337,41 +374,69 @@ let propose_all t specs =
   | Some c when fresh <> [] ->
       c.on_seen ~gen:t.gen (List.map (fun (_, _, key, _) -> key) fresh)
   | _ -> ());
-  let evals =
+  let prepared =
     Pool.parallel_map_list t.pool
       (fun ((sk : Sketch.t), d, key, _) ->
         Tir_obs.Trace.with_ctx ~candidate:key (fun () ->
             Tir_obs.Trace.with_span "evaluate" (fun () ->
-                Eval.evaluate_cached ~key:(t.key_prefix ^ key)
+                Eval.prepare_cached ~key:(t.key_prefix ^ key)
                   ~target:t.target sk d)))
       fresh
   in
   List.concat
     (List.map2
-       (fun (sk, d, key, origin) (hit, ev) ->
+       (fun (sk, _, key, origin) (hit, p) ->
          t.stats.cache_lookups <- t.stats.cache_lookups + 1;
          g.g_lookups <- g.g_lookups + 1;
          if hit then begin
            t.stats.cache_hits <- t.stats.cache_hits + 1;
            g.g_memo_hits <- g.g_memo_hits + 1
          end;
+         match p with
+         | Eval.Rejected ev ->
+             reject t ev;
+             []
+         | Eval.Ready r -> [ (sk, key, origin, r) ])
+       fresh prepared)
+
+(* Check candidates across the pool; count the failures and return the
+   ones that passed, in order, each with the value it was paired with. *)
+let check_all t cands =
+  let verdicts =
+    Pool.parallel_map_list t.pool
+      (fun (_, (_, key, _, r)) ->
+        Tir_obs.Trace.with_ctx ~candidate:key (fun () -> Eval.check r))
+      cands
+  in
+  List.concat
+    (List.map2
+       (fun (x, (sk, _, origin, _)) ev ->
          match ev with
-         | Eval.Inapplicable ->
-             t.stats.inapplicable <- t.stats.inapplicable + 1;
-             g.g_inapplicable <- g.g_inapplicable + 1;
-             []
-         | Eval.Invalid ->
-             t.stats.invalid <- t.stats.invalid + 1;
-             g.g_invalid <- g.g_invalid + 1;
-             []
-         | Eval.Unsound ->
-             t.stats.unsound <- t.stats.unsound + 1;
-             g.g_unsound <- g.g_unsound + 1;
-             []
-         | Eval.Unsupported -> []
          | Eval.Evaluated { func; fp; features; trace } ->
-             [ (sk, d, key, origin, func, fp, features, trace) ])
-       fresh evals)
+             [ (x, (sk, origin, func, fp, features, trace)) ]
+         | _ ->
+             reject t ev;
+             [])
+       cands verdicts)
+
+let rec split_at n = function
+  | x :: rest when n > 0 ->
+      let taken, left = split_at (n - 1) rest in
+      (x :: taken, left)
+  | l -> ([], l)
+
+(* Check ranked candidates in rank order until [batch] of them pass. Each
+   round checks as many as are still missing, so a check never runs below
+   the measurement cut. The passing ones are the first [batch] of the
+   ranking that checking every candidate first would have produced:
+   scores are per candidate, and the sort is stable. *)
+let rec check_ranked t batch ranked =
+  if batch <= 0 || ranked = [] then ([], List.length ranked)
+  else
+    let round, rest = split_at batch ranked in
+    let passed = check_all t round in
+    let later, unchecked = check_ranked t (batch - List.length passed) rest in
+    (passed @ later, unchecked)
 
 (* Measure a ranked batch across the pool (memoized), then feed the cost
    model, the elite set, and the generation tallies in rank order.
@@ -388,14 +453,14 @@ let measure_top t scored =
   let g = t.tally in
   let keyed =
     List.map
-      (fun ((_, (_, _, _, _, _, fp, _, _)) as sc) ->
+      (fun ((_, (_, _, _, fp, _, _)) as sc) ->
         (t.key_prefix ^ "prog#" ^ Tir_ir.Fingerprint.to_hex fp, sc))
       scored
   in
   let distinct_tbl = Hashtbl.create 16 in
   let distinct =
     List.filter_map
-      (fun (key, (_, (_, _, _, _, func, _, _, _))) ->
+      (fun (key, (_, (_, _, func, _, _, _))) ->
         if Hashtbl.mem distinct_tbl key then None
         else begin
           Hashtbl.add distinct_tbl key ();
@@ -417,8 +482,7 @@ let measure_top t scored =
   List.iter2 (fun (key, _) r -> Hashtbl.replace by_key key r) distinct probes;
   let seen_in_batch = Hashtbl.create 16 in
   List.iter
-    (fun (key, (score, ((sk : Sketch.t), _, _, origin, func, _, features, trace)))
-         ->
+    (fun (key, (score, ((sk : Sketch.t), origin, func, _, features, trace))) ->
       let hit, outcome =
         if Hashtbl.mem seen_in_batch key then
           (true, snd (Hashtbl.find by_key key))
@@ -434,7 +498,7 @@ let measure_top t scored =
         g.g_memo_hits <- g.g_memo_hits + 1
       end;
       match outcome with
-      | Eval.Unsupported_target -> ()
+      | Eval.Unsupported_target -> g.g_unsupported <- g.g_unsupported + 1
       | Eval.Unmeasurable ->
           (* Graceful degradation: scored but never measured — the
              candidate is skipped without feeding the cost model, the
@@ -489,6 +553,8 @@ let finish_generation t =
   Metrics.add m_invalid tl.g_invalid;
   Metrics.add m_unsound tl.g_unsound;
   Metrics.add m_inapplicable tl.g_inapplicable;
+  Metrics.add m_unsupported tl.g_unsupported;
+  Metrics.add m_unchecked tl.g_unchecked;
   Metrics.add m_trials tl.g_measured;
   Metrics.add m_mutations tl.g_mutations;
   Metrics.add m_crossovers tl.g_crossovers;
@@ -522,9 +588,12 @@ let finish_generation t =
           int "invalid" tl.g_invalid;
           int "unsound" tl.g_unsound;
           int "inapplicable" tl.g_inapplicable;
+          int "unsupported" tl.g_unsupported;
+          int "unchecked" tl.g_unchecked;
           int "memo_hits" tl.g_memo_hits;
           int "lookups" tl.g_lookups;
           int "measured" tl.g_measured;
+          int "unmeasurable" tl.g_unmeasurable;
           int "mutations" tl.g_mutations;
           int "crossovers" tl.g_crossovers;
           int "accepted" tl.g_accepted;
@@ -634,23 +703,38 @@ let step t =
         finish_generation t;
         (t, Exhausted { gen = g })
     | cands ->
-        let scores =
-          if t.use_cost_model then
-            Array.to_list
-              (Model.score_batch t.model
-                 (Array.of_list
-                    (List.map (fun (_, _, _, _, _, _, f, _) -> f) cands)))
-          else List.map (fun _ -> Rng.float rng 1.0) cands
-        in
-        let ranked =
-          (* stable sort: ties keep generation order *)
+        (* stable sort: ties keep generation order *)
+        let rank scores cands =
           List.sort
             (fun ((a : float), _) (b, _) -> Float.compare b a)
             (List.combine scores cands)
         in
         let batch = min measure_batch (t.trials - t.stats.trials) in
-        measure_top t (List.filteri (fun i _ -> i < batch) ranked);
-        Model.retrain t.model;
+        let top, unchecked =
+          if t.use_cost_model then
+            let ranked =
+              Tir_obs.Trace.with_span "engine.score" (fun () ->
+                  let rows =
+                    Array.of_list (List.map (fun (_, _, _, r) -> Eval.features r) cands)
+                  in
+                  rank (Array.to_list (Model.score_batch t.model rows)) cands)
+            in
+            check_ranked t batch ranked
+          else begin
+            (* Random ranking draws one number per candidate that passed
+               its checks, so every candidate is checked before the draw. *)
+            let passed = check_all t (List.map (fun c -> ((), c)) cands) in
+            let ranked =
+              Tir_obs.Trace.with_span "engine.score" (fun () ->
+                  rank (List.map (fun _ -> Rng.float rng 1.0) passed) (List.map snd passed))
+            in
+            let top, below = split_at batch ranked in
+            (top, List.length below)
+          end
+        in
+        t.tally.g_unchecked <- unchecked;
+        measure_top t top;
+        Tir_obs.Trace.with_span "model.retrain" (fun () -> Model.retrain t.model);
         let g = t.gen in
         finish_generation t;
         ( t,

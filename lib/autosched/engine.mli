@@ -2,10 +2,10 @@
 
     The search loop as an explicit state machine: {!create} builds the
     search state, {!step} advances it by exactly one generation (proposal
-    fan-out, evaluation, ranked measurement, cost-model retrain,
-    metrics/trace/checkpoint flush). One [step] is the atomic unit of
-    work — everything a generation writes is committed before [step]
-    returns, so drivers that interleave many engines on one pool
+    fan-out, preparation, ranking, checks of the top-ranked candidates,
+    measurement, cost-model retrain, metrics/trace/checkpoint flush). One
+    [step] is the atomic unit of work — everything a generation writes is
+    committed before [step] returns, so drivers that interleave many engines on one pool
     ([Tir_service.Scheduler]) get preemption at generation boundaries for
     free, with per-tenant kill/resume bit-identity preserved.
 
@@ -30,8 +30,8 @@ type measured = {
 type stats = {
   mutable trials : int;  (** programs measured *)
   mutable proposed : int;  (** programs proposed *)
-  mutable invalid : int;  (** rejected by validation *)
-  mutable unsound : int;  (** rejected by the semantic analyzer *)
+  mutable invalid : int;  (** rejected by validation (checked ones only) *)
+  mutable unsound : int;  (** rejected by the analyzer (checked ones only) *)
   mutable inapplicable : int;  (** rejected by the sketch *)
   mutable unmeasurable : int;
       (** dropped after measurement faults exhausted their retries or the
@@ -125,17 +125,30 @@ val create :
     same engine (state is mutated in place); the pair shape makes the
     state-machine contract explicit.
 
+    Every fresh candidate is prepared (applied, featurized) and ranked;
+    candidates are then checked (validated, analyzed) in rank order only
+    until the measurement batch is full, which measures exactly what
+    checking every candidate first would measure. Without a cost model
+    every candidate is checked before the random ranking.
+
     Candidates whose measurements exhaust [retry] are counted
     [unmeasurable] and skipped: they never reach the cost model, the
     elite set, or the checkpoint log. Every generation bumps the
     [search.*] counters and the [costmodel.rank_corr] gauge in the
     metrics registry. When tracing is on, it also records one
     [gen.commit] instant carrying the generation's funnel (proposed,
-    deduped, invalid, unsound, inapplicable, memo hits and lookups,
-    measured, mutations, crossovers, accepted), the cumulative trials,
-    the best-so-far latency and the generation's model rank correlation
-    ([%h] floats). The counts are accumulated in the sequential
-    slot-order reduce, so they are bit-identical at any job count. *)
+    deduped, invalid, unsound, inapplicable, unsupported, unchecked, memo
+    hits and lookups, measured, unmeasurable, mutations, crossovers,
+    accepted), the cumulative trials, the best-so-far latency and the
+    generation's model rank correlation ([%h] floats). Each fresh
+    proposal lands in exactly one of inapplicable, unsupported, invalid,
+    unsound, unchecked (ranked below the measurement cut: never checked,
+    or, without a cost model, checked and passed), measured and
+    unmeasurable. Spans: [engine.step], with [evaluate] per prepared
+    candidate, [eval.check] per checked one, [engine.score], [measure]
+    and [model.retrain] under it. The counts are accumulated in the
+    sequential slot-order reduce, so they are bit-identical at any job
+    count. *)
 val step : t -> t * event
 
 (** Trial budget reached or search space exhausted. *)

@@ -1,8 +1,14 @@
 (** Candidate evaluation pipeline plus the process-wide measurement memo.
 
-    The memo tables cache the two expensive stages of candidate evaluation
-    (schedule application + §3.3 validation + feature extraction, and the
-    machine-model measurement) keyed by
+    Evaluation has two halves. [prepare] is what the cost model needs to
+    score a candidate: knob pre-filter, schedule application, feature
+    extraction. [check] is what a candidate needs before it is measured:
+    §3.3 validation, the static legality certificate and the semantic
+    analyzers. The search prepares every fresh candidate, ranks them, and
+    checks them in rank order only until its measurement batch is full.
+
+    The memo tables cache the prepared candidate (with the verdict of its
+    checks, once they ran) and the machine-model measurement, keyed by
     [target fingerprint | sketch name | canonical decision key]. The
     simulator is a pure function of (target, program), and a (sketch,
     decisions) pair determines the program, so entries never go stale; the
@@ -46,9 +52,24 @@ type measurement =
           per-candidate measurement budget. Deterministic under a fixed
           fault seed — and never fed to the cost model or database. *)
 
+(* A candidate that applied and was featurized, with the verdict of its
+   checks once they ran. The lock makes the checks run at most once per
+   entry, whichever domain asks first. *)
+type ready = {
+  r_func : Tir_ir.Primfunc.t;
+  r_features : float array;
+  r_trace : Tir_sched.Trace.t;
+  lock : Mutex.t;
+  mutable verdict : evaluation option;  (** guarded by [lock] *)
+}
+
+type prepared = Rejected of evaluation | Ready of ready
+
+let features r = r.r_features
+
 (* Named tables feed the metrics registry: [memo.eval.*] and
    [memo.measure.*] (hits / misses / pending waits). *)
-let eval_cache : evaluation Memo.t = Memo.create ~name:"eval" ()
+let eval_cache : prepared Memo.t = Memo.create ~name:"eval" ()
 let measure_cache : measurement Memo.t = Memo.create ~name:"measure" ()
 
 (** [cache_prefix target] — compute once per search, prepend to candidate
@@ -70,10 +91,34 @@ let cache_prefix target = Tir_sim.Target.fingerprint target ^ "|"
    classification now runs inline. *)
 
 (* Candidates rejected by the static legality certificate alone — the
-   search never ran the region/bounds analyzers or feature extraction on
-   them. Incremented only inside the eval memo's compute function, so the
-   count is bit-identical at any TIR_JOBS. *)
+   search never ran the region/bounds analyzers on them. Incremented
+   only where a program is checked, which happens at most once per memo
+   entry, so the count is bit-identical at any TIR_JOBS. *)
 let m_pruned_static = Tir_obs.Metrics.counter "search.pruned_static"
+
+(* The §3.3 validator, then the static legality certificate, then the
+   analyzers: [Some] failure, or [None] when the program passes all
+   three. A proven-illegal parallel structure is Unsound without running
+   the remaining analyzers; the certificate is served from the
+   fingerprint-keyed race memo, and [Analysis.errors] shares it, so
+   nothing is analyzed twice. *)
+let failed_checks f =
+  Tir_obs.Trace.with_span "eval.check" @@ fun () ->
+  match Tir_obs.Trace.with_span "eval.validate" (fun () -> Tir_sched.Validate.check_func f) with
+  | _ :: _ -> Some Invalid
+  | [] -> (
+      let verdict =
+        Tir_obs.Trace.with_span "eval.certify" (fun () -> Tir_analysis.Analysis.certify f)
+      in
+      Tir_analysis.Legality.count verdict;
+      match verdict with
+      | Tir_analysis.Legality.Illegal _ ->
+          Tir_obs.Metrics.incr m_pruned_static;
+          Some Unsound
+      | Tir_analysis.Legality.Legal | Tir_analysis.Legality.Unknown ->
+          if Tir_obs.Trace.with_span "eval.analyze" (fun () -> Tir_analysis.Analysis.errors f) <> []
+          then Some Unsound
+          else None)
 
 (* [Space.Unknown_knob] deliberately propagates: the search only builds
    decision vectors from the sketch's own knob list, so an unknown knob is
@@ -82,55 +127,61 @@ let m_pruned_static = Tir_obs.Metrics.counter "search.pruned_static"
    Each stage records a span, a child of the engine's [evaluate] span (one
    atomic load when tracing is off). The pipeline runs once per eval-memo
    miss, so the spans are identical at any TIR_JOBS. *)
-let evaluate ~target (sk : Sketch.t) (d : Space.decisions) : evaluation =
-  if sk.Sketch.rejects d then Inapplicable
+let prepare ~target (sk : Sketch.t) (d : Space.decisions) : prepared =
+  if sk.Sketch.rejects d then Rejected Inapplicable
   else
     match Tir_obs.Trace.with_span "eval.apply" (fun () -> sk.Sketch.apply d) with
-    | exception Tir_sched.State.Schedule_error _ -> Inapplicable
+    | exception Tir_sched.State.Schedule_error _ -> Rejected Inapplicable
     | sch -> (
         let f = Tir_sched.Schedule.func sch in
-        match
-          Tir_obs.Trace.with_span "eval.validate" (fun () -> Tir_sched.Validate.check_func f)
-        with
-        | _ :: _ -> Invalid
-        | [] -> (
-            (* Static pre-filter: a proven-illegal parallel structure is
-               Unsound without running the remaining analyzers. The
-               certificate is served from the fingerprint-keyed race memo,
-               and [Analysis.errors] below shares it, so nothing is
-               analyzed twice. *)
-            let verdict =
-              Tir_obs.Trace.with_span "eval.certify" (fun () -> Tir_analysis.Analysis.certify f)
-            in
-            Tir_analysis.Legality.count verdict;
-            match verdict with
-            | Tir_analysis.Legality.Illegal _ ->
-                Tir_obs.Metrics.incr m_pruned_static;
-                Unsound
-            | Tir_analysis.Legality.Legal | Tir_analysis.Legality.Unknown -> (
-                if
-                  Tir_obs.Trace.with_span "eval.analyze" (fun () -> Tir_analysis.Analysis.errors f)
-                  <> []
-                then Unsound
-                else
-                  match
-                    Tir_obs.Trace.with_span "eval.features" (fun () -> Features.extract target f)
-                  with
-                  | features ->
-                      Evaluated
-                        {
-                          func = f;
-                          fp = Tir_ir.Fingerprint.func f;
-                          features;
-                          trace = Tir_sched.Schedule.instructions sch;
-                        }
-                  | exception Tir_sim.Machine.Unsupported _ -> Unsupported)))
+        match Tir_obs.Trace.with_span "eval.features" (fun () -> Features.extract target f) with
+        | features ->
+            Ready
+              {
+                r_func = f;
+                r_features = features;
+                r_trace = Tir_sched.Schedule.instructions sch;
+                lock = Mutex.create ();
+                verdict = None;
+              }
+        | exception Tir_sim.Machine.Unsupported _ -> Rejected Unsupported
+        | exception e -> (
+            (* The machine model walked a program nobody has checked yet.
+               A failing program is reported as the checks classify it;
+               one that passes has found a bug in the model. *)
+            let bt = Printexc.get_raw_backtrace () in
+            match failed_checks f with
+            | Some failure -> Rejected failure
+            | None -> Printexc.raise_with_backtrace e bt))
+
+let check r =
+  Mutex.protect r.lock (fun () ->
+      match r.verdict with
+      | Some v -> v
+      | None ->
+          let v =
+            match failed_checks r.r_func with
+            | Some failure -> failure
+            | None ->
+                Evaluated
+                  {
+                    func = r.r_func;
+                    fp = Tir_ir.Fingerprint.func r.r_func;
+                    features = r.r_features;
+                    trace = r.r_trace;
+                  }
+          in
+          r.verdict <- Some v;
+          v)
+
+let settle = function Rejected e -> e | Ready r -> check r
+let evaluate ~target sk d = settle (prepare ~target sk d)
 
 (** The pre-refactor pipeline, byte for byte: no knob pre-filter —
     every candidate runs the full
     apply/validate/analyze/extract chain. Kept for the bench hot-path
     comparison and the differential property test ([evaluate] must classify
-    identically). *)
+    identically, except that it reports [Unsupported] before the checks). *)
 let evaluate_naive ~target (sk : Sketch.t) (d : Space.decisions) : evaluation =
   match sk.Sketch.apply d with
   | exception Tir_sched.State.Schedule_error _ -> Inapplicable
@@ -151,9 +202,14 @@ let evaluate_naive ~target (sk : Sketch.t) (d : Space.decisions) : evaluation =
                 }
           | exception Tir_sim.Machine.Unsupported _ -> Unsupported))
 
+(** Memoized [prepare]; returns [(cache_hit, outcome)]. *)
+let prepare_cached ~key ~target sk d =
+  Memo.find_or_add eval_cache key (fun () -> prepare ~target sk d)
+
 (** Memoized evaluation; returns [(cache_hit, outcome)]. *)
 let evaluate_cached ~key ~target sk d =
-  Memo.find_or_add eval_cache key (fun () -> evaluate ~target sk d)
+  let hit, p = prepare_cached ~key ~target sk d in
+  (hit, settle p)
 
 let m_timeout = Tir_obs.Metrics.counter "measure.timeout"
 

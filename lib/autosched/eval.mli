@@ -1,5 +1,11 @@
 (** Candidate evaluation pipeline plus the process-wide
-    measurement/feature memo used by the parallel search.
+    prepared-candidate and measurement memos used by the parallel search.
+
+    Evaluation is split in two so the search can rank before it checks:
+    {!prepare} (pre-filter, apply, features) gives the cost model what it
+    scores, and {!check} (validate, certify, analyze) runs only on the
+    candidates the search is about to measure, in rank order. A candidate
+    ranked below the measurement cut is never checked.
 
     Process-wide caches over the pure evaluation pipeline, keyed by
     [Target.fingerprint ^ "|" ^ sketch name ^ "|" ^ Space.key_of]. Safe to
@@ -29,23 +35,57 @@ type evaluation =
 (** Key prefix for a target (compute once per search). *)
 val cache_prefix : Tir_sim.Target.t -> string
 
-(** The evaluation pipeline: knob pre-filter ([Sketch.rejects], rejecting
-    provably inapplicable vectors before any program is materialized),
-    cached sketch application, then validation + semantic analysis +
-    feature extraction. Does not consult the per-decision-vector memo —
-    that is [evaluate_cached]. When tracing is on, each stage records a
-    span: [eval.apply], [eval.validate], [eval.certify], [eval.analyze]
-    and [eval.features]. *)
+(** A candidate that applied and has features, so the cost model can
+    score it; its checks run on the first {!check}. *)
+type ready
+
+(** Outcome of {!prepare}. [Rejected] is never [Evaluated]. *)
+type prepared = Rejected of evaluation | Ready of ready
+
+(** The first half of the pipeline: knob pre-filter ([Sketch.rejects],
+    rejecting provably inapplicable vectors before any program is
+    materialized), cached sketch application, feature extraction. A
+    program the machine model cannot run is [Rejected Unsupported]
+    without being checked. When feature extraction raises anything else,
+    the program is checked at once: a failing program is [Rejected] with
+    the checks' verdict ([Invalid] or [Unsound]), and the exception is
+    re-raised if it passes. Spans: [eval.apply], [eval.features]. *)
+val prepare : target:Tir_sim.Target.t -> Sketch.t -> Space.decisions -> prepared
+
+(** Memoized {!prepare} in the eval memo; returns [(cache_hit, outcome)]. *)
+val prepare_cached :
+  key:string -> target:Tir_sim.Target.t -> Sketch.t -> Space.decisions ->
+  bool * prepared
+
+(** The candidate's features, as the cost model scores them. *)
+val features : ready -> float array
+
+(** The second half: §3.3 validation, the static legality certificate
+    ([Analysis.certify]; a proven-illegal candidate is [Unsound] and
+    counted in [search.pruned_static]), the semantic analyzers, then the
+    program fingerprint. Returns [Invalid], [Unsound] or [Evaluated].
+    The verdict is kept in the candidate, so a memoized candidate is
+    checked at most once per process, by whichever domain asks first;
+    the [legality.*] and [analysis.*] counters therefore count checked
+    candidates only. Spans: [eval.check], the parent of [eval.validate],
+    [eval.certify] and [eval.analyze], recorded only when the checks
+    run. *)
+val check : ready -> evaluation
+
+(** {!prepare} then {!check}, unmemoized. *)
 val evaluate : target:Tir_sim.Target.t -> Sketch.t -> Space.decisions -> evaluation
 
-(** The pre-refactor pipeline, byte for byte: no pre-filter, no
-    fingerprint post-memo. Classifies identically to [evaluate] (the
-    property tests enforce this); kept for the bench hot-path
-    comparison. *)
+(** The pre-refactor pipeline, byte for byte: no pre-filter, checks
+    before features. Classifies identically to [evaluate] (the property
+    tests enforce this), except that [evaluate] reports a program the
+    machine model cannot run as [Unsupported] even when it would fail
+    its checks; kept for the bench hot-path comparison. *)
 val evaluate_naive :
   target:Tir_sim.Target.t -> Sketch.t -> Space.decisions -> evaluation
 
-(** Memoized [evaluate]; returns [(cache_hit, outcome)]. *)
+(** {!prepare_cached} then {!check}; returns [(cache_hit, outcome)], the
+    hit being the eval memo's. Database replay, the bench and the tests
+    use it. *)
 val evaluate_cached :
   key:string -> target:Tir_sim.Target.t -> Sketch.t -> Space.decisions ->
   bool * evaluation

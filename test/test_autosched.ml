@@ -291,6 +291,151 @@ let test_best_ignores_variable_count () =
   done;
   Alcotest.(check string) "same best after 2*10^7 more variables" before (best ())
 
+(* Feature extraction walks a program before anything has checked it.
+   The test-only sketch below delivers the matmul nest with [i] and [j]
+   both bound to [threadIdx.x], which fails validation (one axis bound
+   twice on a path), and the store into [C] indexed by [vj] alone, which
+   breaks the machine model: it reads the lane stride of that index
+   against [C]'s two dimensions and raises [Invalid_argument]. The
+   candidate must be classified as its checks classify it. *)
+let test_unextractable_candidate () =
+  let f = Util.matmul () in
+  let rec mangle depth (s : Stmt.t) =
+    match s with
+    | Stmt.For r when depth < 2 ->
+        Stmt.For
+          { r with kind = Stmt.Thread_binding "threadIdx.x"; body = mangle (depth + 1) r.body }
+    | Stmt.For r -> Stmt.For { r with body = mangle (depth + 1) r.body }
+    | Stmt.Block br ->
+        let b = br.Stmt.block in
+        Stmt.Block { br with Stmt.block = { b with Stmt.body = mangle depth b.Stmt.body } }
+    | Stmt.Store (c, [ _; vj ], v) -> Stmt.Store (c, [ vj ], v)
+    | s -> s
+  in
+  let func =
+    match f.Primfunc.body with
+    | Stmt.Block br -> Primfunc.with_root_body f (mangle 0 br.Stmt.block.Stmt.body)
+    | _ -> Alcotest.fail "no root block"
+  in
+  let sk =
+    {
+      Sk.name = "unextractable";
+      space_id = "unextractable";
+      base = "";
+      knobs = [];
+      rejects = (fun _ -> false);
+      apply = (fun _ -> Tir_sched.Schedule.create func);
+    }
+  in
+  (match Tir_autosched.Features.extract gpu func with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "the test program must break feature extraction");
+  Alcotest.(check bool) "the test program fails validation" true
+    (Tir_sched.Validate.check_func func <> []);
+  (match Tir_autosched.Eval.prepare ~target:gpu sk [] with
+  | Tir_autosched.Eval.Rejected Tir_autosched.Eval.Invalid -> ()
+  | _ -> Alcotest.fail "prepare must check the program and reject it as Invalid");
+  match Tir_autosched.Eval.evaluate ~target:gpu sk [] with
+  | Tir_autosched.Eval.Invalid -> ()
+  | _ -> Alcotest.fail "evaluate must report Invalid"
+
+(* The measured sequence of seeded searches, pinned bit for bit: the MD5
+   of every measured (trace, latency) pair in measurement order, and the
+   fingerprint of the best program. The digests were recorded when every
+   candidate was validated and analyzed before the model ranked it; the
+   search that checks only ranked candidates must measure the same
+   programs in the same order. The cases cover the tensor-core GPU
+   sketches, the ARM [sdot] sketch, a scalar-only space and the random
+   ranking used without a cost model. Each search is traced, so the test
+   also sees that no check ran below the measurement cut: every
+   [eval.check] span belongs to a candidate that was measured or counted
+   invalid or unsound. *)
+let golden_search ?(use_cost_model = true) ~seed ~trials target w =
+  let module Trace = Tir_obs.Trace in
+  let measured = Stdlib.Buffer.create 4096 and sketches = ref [] in
+  let checkpoint =
+    {
+      Tir_autosched.Evolutionary.on_seen = (fun ~gen:_ _ -> ());
+      on_measured =
+        (fun ~gen:_ m ->
+          sketches := m.Tir_autosched.Evolutionary.sketch_name :: !sketches;
+          Printf.bprintf measured "%s|%h\n"
+            (Tir_sched.Trace.to_string m.Tir_autosched.Evolutionary.trace)
+            m.Tir_autosched.Evolutionary.latency_us);
+      on_generation = (fun ~gen:_ _ ~best_us:_ -> ());
+    }
+  in
+  Tir_autosched.Eval.clear_caches ();
+  Trace.enable ();
+  Trace.reset ();
+  let r, events =
+    Fun.protect
+      ~finally:(fun () -> Trace.disable (); Trace.reset ())
+      (fun () ->
+        let cfg =
+          Tune.Config.(
+            default |> with_seed seed |> with_trials trials
+            |> with_use_cost_model use_cost_model)
+        in
+        let r = Tune.run ~checkpoint cfg w target in
+        (r, Trace.events ()))
+  in
+  let named name = List.filter (fun e -> e.Trace.e_name = name) events in
+  let reached =
+    List.fold_left
+      (fun acc e ->
+        List.fold_left
+          (fun acc k -> acc + int_of_string (List.assoc k e.Trace.e_args))
+          acc
+          [ "invalid"; "unsound"; "measured"; "unmeasurable" ])
+      0 (named "gen.commit")
+  in
+  let checks = List.length (named "eval.check") in
+  if use_cost_model then Alcotest.(check int) "no check ran below the cut" reached checks;
+  let best =
+    match r.Tune.best with
+    | Some b -> Fingerprint.to_hex (Fingerprint.func b.Tir_autosched.Evolutionary.func)
+    | None -> "none"
+  in
+  (Digest.to_hex (Digest.string (Stdlib.Buffer.contents measured)), best, !sketches)
+
+let test_golden_searches () =
+  let tensorized = List.exists (String.starts_with ~prefix:"tensorized") in
+  let cases =
+    [
+      ( "fp16 GMM, GPU",
+        (fun () -> golden_search ~seed:5 ~trials:32 gpu (small_gmm ())),
+        ("2b75cdc123cb998b8bcb9d2dff2789d4", "3b9d534e54af0848") );
+      ( "int8 C2D, ARM sdot",
+        (fun () ->
+          let d, b, sketches =
+            golden_search ~seed:3 ~trials:32 arm
+              (W.c2d ~in_dtype:Dtype.I8 ~acc_dtype:Dtype.I32 ~h:14 ~w:14 ~ci:32 ~co:32 ())
+          in
+          Alcotest.(check bool) "the sdot sketch was measured" true (tensorized sketches);
+          (d, b, sketches)),
+        ("e7750d46fae8ad9660e9f87848d007f2", "4df859538b892b4a") );
+      ( "DEP, scalar only",
+        (fun () ->
+          let d, b, sketches =
+            golden_search ~seed:9 ~trials:24 gpu (W.dep ~h:32 ~w:32 ~c:32 ())
+          in
+          Alcotest.(check bool) "only scalar sketches" false (tensorized sketches);
+          (d, b, sketches)),
+        ("a9f538950049f4b4961d45a6e1d35e5a", "15884759138dcc05") );
+      ( "fp16 GMM, no cost model",
+        (fun () ->
+          golden_search ~use_cost_model:false ~seed:11 ~trials:32 gpu (small_gmm ())),
+        ("6cef8a676202ee9e6971a88b192a51e8", "eaa374503ef39c97") );
+    ]
+  in
+  List.iter
+    (fun (name, run, (digest, best)) ->
+      let d, b, _ = run () in
+      Alcotest.(check string) (name ^ ": measured (trace, latency) digest") digest d;
+      Alcotest.(check string) (name ^ ": best fingerprint") best b)
+    cases
+
 let suite =
   suite
   @ [
@@ -299,4 +444,6 @@ let suite =
       ("feature vector shape", `Quick, test_features_dimension);
       ("tensorized feature flag", `Quick, test_tensorized_feature_flag);
       ("best ignores how many variables exist", `Quick, test_best_ignores_variable_count);
+      ("unextractable candidate: checks decide", `Quick, test_unextractable_candidate);
+      ("golden searches: measured sequence pinned", `Quick, test_golden_searches);
     ]

@@ -152,9 +152,9 @@ let test_gflops_edges () =
 
 (* What every generation commits to the trace, in this order. *)
 let funnel =
-  [ "gen"; "proposed"; "deduped"; "invalid"; "unsound"; "inapplicable"; "memo_hits";
-    "lookups"; "measured"; "mutations"; "crossovers"; "accepted"; "trials"; "best_us";
-    "rank_corr" ]
+  [ "gen"; "proposed"; "deduped"; "invalid"; "unsound"; "inapplicable"; "unsupported";
+    "unchecked"; "memo_hits"; "lookups"; "measured"; "unmeasurable"; "mutations";
+    "crossovers"; "accepted"; "trials"; "best_us"; "rank_corr" ]
 
 (* The run's [gen.commit] instants in generation order, checked against
    the result they must agree with. *)
@@ -215,6 +215,61 @@ let test_journal_identical_across_jobs () =
     (fun a b -> Alcotest.(check (list (pair string string))) "identical gen.commit" a b)
     j1 j4;
   Alcotest.(check (list (pair string int))) "identical counters" c1 c4
+
+(* Every fresh proposal lands in exactly one outcome of its generation's
+   [gen.commit]. With a cost model, candidates are checked in rank order
+   only until the measurement batch is full, and the rest of the ranking
+   is [unchecked]. Without one, every candidate is checked before the
+   random draw. The faulted run puts measurements into [unmeasurable]. *)
+let test_funnel_sums () =
+  let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
+  let run ?use_cost_model ?(faults = false) () =
+    Tir_autosched.Eval.clear_caches ();
+    Tir_analysis.Analysis.clear_cache ();
+    if faults then Tir_core.Fault.set ~sites:[ Tir_core.Fault.Measure ] ~rate:0.7 ~seed:42 ();
+    Trace.enable ();
+    Trace.reset ();
+    Fun.protect
+      ~finally:(fun () -> Tir_core.Fault.clear (); Trace.disable (); Trace.reset ())
+      (fun () ->
+        ignore (Util.tune ?use_cost_model ~seed:7 ~trials:40 gpu w);
+        let events = Trace.events () in
+        let named kind name =
+          List.filter (fun e -> e.Trace.e_kind = kind && e.Trace.e_name = name) events
+        in
+        (named Trace.Instant "gen.commit", List.length (named Trace.Span "eval.check")))
+  in
+  let total gens keys =
+    List.fold_left
+      (fun acc e ->
+        List.fold_left (fun acc k -> acc + int_of_string (List.assoc k e.Trace.e_args)) acc keys)
+      0 gens
+  in
+  let outcomes =
+    [ "inapplicable"; "unsupported"; "invalid"; "unsound"; "unchecked"; "measured"; "unmeasurable" ]
+  in
+  let sums label gens =
+    List.iter
+      (fun e ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s gen %s: proposed = sum of outcomes" label
+             (List.assoc "gen" e.Trace.e_args))
+          (total [ e ] [ "proposed" ])
+          (total [ e ] outcomes))
+      gens
+  in
+  let gens, _ = run () in
+  sums "ranked" gens;
+  Alcotest.(check bool) "ranked below the cut, never checked" true (total gens [ "unchecked" ] > 0);
+  let gens, checks = run ~use_cost_model:false () in
+  sums "random" gens;
+  Alcotest.(check int) "without a model every candidate is checked"
+    (total gens [ "invalid"; "unsound"; "unchecked"; "measured"; "unmeasurable" ])
+    checks;
+  let gens, _ = run ~faults:true () in
+  sums "faulted" gens;
+  Alcotest.(check bool) "faults make candidates unmeasurable" true
+    (total gens [ "unmeasurable" ] > 0)
 
 let test_rank_corr_gauge_set () =
   let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
@@ -289,6 +344,8 @@ let suite =
     Alcotest.test_case "tune: gflops edge cases" `Quick test_gflops_edges;
     Alcotest.test_case "journal: identical at jobs=1/4" `Quick
       test_journal_identical_across_jobs;
+    Alcotest.test_case "journal: every proposal lands in one outcome" `Quick
+      test_funnel_sums;
     Alcotest.test_case "metrics: rank-corr gauge after tuning" `Quick
       test_rank_corr_gauge_set;
     Alcotest.test_case "metrics: memo-hit-rate gauge after tuning" `Quick
