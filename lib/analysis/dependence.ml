@@ -60,11 +60,7 @@ let make_access ~ranges ~id ~block ~buffer ~region ~write ~guarded =
     a_guarded = guarded;
     a_hull = lazy (Region.hull_of_region ranges { Stmt.buffer; region });
     a_linear =
-      lazy
-        (List.map
-           (fun (mn, _) ->
-             Simplify.to_linear (Simplify.simplify { Simplify.ranges } mn))
-           region);
+      lazy (List.map (fun (mn, _) -> Simplify.simplify_linear { Simplify.ranges } mn) region);
   }
 
 let is_parallel_kind = function

@@ -5,7 +5,16 @@
     by positive constants are resolved with range information from
     [Tir_ir.Bound]. The simplifier is what keeps schedule-generated
     arithmetic (split/fuse/blockize compositions) in a shape the iterator
-    mapping detector and the validators can recognize. *)
+    mapping detector and the validators can recognize.
+
+    The result is defined bottom-up: simplify the children, rebuild the
+    node with [Expr]'s folding constructors, then canonicalize it. Computed
+    that way literally, every [+], [-] and [*] of a sum re-linearizes the
+    whole sum below it, and it runs under every schedule primitive. So
+    [lin] linearizes each maximal integer sum once, in the same merge
+    order, and only its non-additive atoms take the per-node path; the
+    output is the same, because [to_linear (of_linear l) = l] for every
+    linear form the simplifier builds. *)
 
 open Tir_ir
 
@@ -77,9 +86,9 @@ let rec keyed (e : Expr.t) =
 
 and add (c1, t1) (c2, t2) = (c1 + c2, merge t1 t2)
 
-let to_linear e =
-  let const, terms = keyed e in
-  { const; terms = List.map (fun (_, a, c) -> (a, c)) terms }
+let strip (const, terms) = { const; terms = List.map (fun (_, a, c) -> (a, c)) terms }
+
+let to_linear e = strip (keyed e)
 
 let of_linear l =
   let term (atom, c) =
@@ -108,14 +117,56 @@ let split_divisible k l =
   ( { const = qconst; terms = List.map (fun (a, c) -> (a, c / k)) div_terms },
     { const = rconst; terms = rem_terms } )
 
+let is_int e = Dtype.equal (Expr.dtype e) Dtype.Int
+
+(* An atom of an integer sum simplified to a non-integer: only a
+   [select] whose branches have two types does that. *)
+exception Not_int
+
 let rec simplify ctx (e : Expr.t) : Expr.t =
+  match e with
+  | Expr.Bin ((Expr.Add | Expr.Sub | Expr.Mul), _, _) when is_int e -> (
+      match lin ctx e with
+      | l -> of_linear (strip l)
+      | exception Not_int -> simplify_node ctx e)
+  | _ -> simplify_node ctx e
+
+(* The per-node path: simplify the children, rebuild, canonicalize. *)
+and simplify_node ctx e =
   let e = Expr.map_children (simplify ctx) e in
   match e with
-  | Expr.Bin (op, _, _) when Dtype.equal (Expr.dtype e) Dtype.Int -> simplify_int ctx op e
+  | Expr.Bin (op, _, _) when is_int e -> simplify_int ctx op e
   | Expr.Cmp (op, a, b) -> simplify_cmp ctx op a b
   | Expr.Select (Expr.Bool true, t, _) -> t
   | Expr.Select (Expr.Bool false, _, f) -> f
   | _ -> e
+
+(* [keyed (simplify ctx e)] for an integer [e], with each [+], [-] and [*]
+   of the sum visited once. Where [Expr.bin] would fold the simplified
+   operands (two constants, [+ 0], [- 0], [* 1], [* 0]), merging or
+   scaling their forms gives the same terms, and a product of two
+   non-constants is one atom, as [keyed] makes it. Every node of an
+   integer sum is an integer, so the sum's type is checked once, at its
+   root; the per-node path would see the same types while every atom
+   simplifies to an integer, and raises [Not_int] when one does not. *)
+and lin ctx (e : Expr.t) =
+  match e with
+  | Expr.Int i -> (i, [])
+  | Expr.Var v -> (0, [ (Id v.Var.id, e, 1) ])
+  | Expr.Bin (Expr.Add, a, b) -> add (lin ctx a) (lin ctx b)
+  | Expr.Bin (Expr.Sub, a, b) -> add (lin ctx a) (scale (-1) (lin ctx b))
+  | Expr.Bin (Expr.Mul, a, b) -> (
+      let la = lin ctx a in
+      let lb = lin ctx b in
+      match (la, lb) with
+      | _, (k, []) -> scale k la
+      | (k, []), _ -> scale k lb
+      | _ ->
+          let atom = Expr.Bin (Expr.Mul, of_linear (strip la), of_linear (strip lb)) in
+          (0, [ (key_of atom, atom, 1) ]))
+  | _ ->
+      let s = simplify ctx e in
+      if is_int s then keyed s else raise_notrace Not_int
 
 and simplify_int ctx op e =
   match (op, e) with
@@ -151,7 +202,7 @@ and simplify_mod ctx a k =
     | Some { lo; hi } when lo >= 0 && hi < k -> r_expr
     | _ ->
         if r.terms = [] && r.const = 0 then Expr.Int 0
-        else Expr.Bin (Expr.Mod, of_linear (to_linear a), Expr.Int k)
+        else Expr.Bin (Expr.Mod, of_linear l, Expr.Int k)
 
 and simplify_minmax ctx op a b =
   let diff = Expr.sub a b in
@@ -177,6 +228,11 @@ and simplify_cmp ctx op a b =
     | Some { lo; hi }, Expr.Eq when lo > 0 || hi < 0 -> Expr.Bool false
     | Some { lo; hi }, Expr.Ne when lo > 0 || hi < 0 -> Expr.Bool true
     | _ -> Expr.cmp op a b
+
+(** [to_linear (simplify ctx e)], without building the simplified sum. *)
+let simplify_linear ctx e =
+  if is_int e then try strip (lin ctx e) with Not_int -> to_linear (simplify ctx e)
+  else to_linear (simplify ctx e)
 
 (** Prove that two integer expressions are equal under the given context. *)
 let prove_equal ctx a b =

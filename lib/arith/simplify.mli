@@ -25,8 +25,14 @@ type linear = { const : int; terms : (Expr.t * int) list }
 val to_linear : Expr.t -> linear
 val of_linear : linear -> Expr.t
 
-(** Full recursive simplification under the context's variable ranges. *)
+(** Full recursive simplification under the context's variable ranges.
+    Each maximal integer sum is linearized once, so the cost grows with
+    the size of [e], not with its size times its depth. *)
 val simplify : ctx -> Expr.t -> Expr.t
+
+(** [to_linear (simplify ctx e)], without building the simplified
+    expression in between: for callers that read the linear form. *)
+val simplify_linear : ctx -> Expr.t -> linear
 
 (** Prove two integer expressions equal under the context. *)
 val prove_equal : ctx -> Expr.t -> Expr.t -> bool

@@ -145,35 +145,40 @@ let map_children f s =
   | Seq ss -> seq (List.map f ss)
   | If (c, t, e) -> If (c, f t, Option.map f e)
 
-let rec map_exprs fe s =
-  match s with
-  | For r -> For { r with body = map_exprs fe r.body }
-  | Block br ->
-      let b = br.block in
-      let region_map { buffer; region } =
-        { buffer; region = List.map (fun (mn, ext) -> (fe mn, ext)) region }
-      in
-      Block
-        {
-          iter_values = List.map fe br.iter_values;
-          predicate = fe br.predicate;
-          block =
-            {
-              b with
-              reads = List.map region_map b.reads;
-              writes = List.map region_map b.writes;
-              init = Option.map (map_exprs fe) b.init;
-              body = map_exprs fe b.body;
-            };
-        }
-  | Store (buf, idx, v) -> Store (buf, List.map fe idx, fe v)
-  | Seq ss -> seq (List.map (map_exprs fe) ss)
-  | If (c, t, e) -> If (fe c, map_exprs fe t, Option.map (map_exprs fe) e)
-  | Eval e -> Eval (fe e)
+let map_exprs ?(buffer = Fun.id) fe s =
+  let region_map { buffer = b; region } =
+    { buffer = buffer b; region = List.map (fun (mn, ext) -> (fe mn, ext)) region }
+  in
+  let rec go s =
+    match s with
+    | For r -> For { r with body = go r.body }
+    | Block br ->
+        let b = br.block in
+        Block
+          {
+            iter_values = List.map fe br.iter_values;
+            predicate = fe br.predicate;
+            block =
+              {
+                b with
+                reads = List.map region_map b.reads;
+                writes = List.map region_map b.writes;
+                init = Option.map go b.init;
+                body = go b.body;
+              };
+          }
+    | Store (buf, idx, v) -> Store (buffer buf, List.map fe idx, fe v)
+    | Seq ss -> seq (List.map go ss)
+    | If (c, t, e) -> If (fe c, go t, Option.map go e)
+    | Eval e -> Eval (fe e)
+  in
+  go s
 
-(** Substitute free variables in every expression position. Block iterator
-    variables are binders, so they shadow outer substitutions. *)
+(** Substitute free variables in every expression position, in one pass
+    that rewrites each expression once. Loop variables and block iterators
+    are binders, so they shadow the substitution in their scope. *)
 let rec subst lookup s =
+  let fe = Expr.subst lookup in
   match s with
   | Block br ->
       let b = br.block in
@@ -181,15 +186,14 @@ let rec subst lookup s =
         if List.exists (fun iv -> Var.equal iv.var v) b.iter_vars then None
         else lookup v
       in
-      let fe_outer = Expr.subst lookup in
       let region_map { buffer; region } =
         (* Region mins refer to block iter vars, keep inner scoping. *)
         { buffer; region = List.map (fun (mn, ext) -> (Expr.subst shadowed mn, ext)) region }
       in
       Block
         {
-          iter_values = List.map fe_outer br.iter_values;
-          predicate = fe_outer br.predicate;
+          iter_values = List.map fe br.iter_values;
+          predicate = fe br.predicate;
           block =
             {
               b with
@@ -202,30 +206,18 @@ let rec subst lookup s =
   | For r ->
       let shadowed v = if Var.equal v r.loop_var then None else lookup v in
       For { r with body = subst shadowed r.body }
-  | _ -> map_exprs (Expr.subst lookup) (map_children (subst lookup) s)
+  | Store (buf, idx, v) -> Store (buf, List.map fe idx, fe v)
+  | Seq ss -> seq (List.map (subst lookup) ss)
+  | If (c, t, e) -> If (fe c, subst lookup t, Option.map (subst lookup) e)
+  | Eval e -> Eval (fe e)
 
 let subst_map map s = subst (fun v -> Var.Map.find_opt v map) s
 
-let rec replace_buffer ~from ~to_ s =
-  let fe = Expr.replace_buffer ~from ~to_ in
+(** Swap buffer [from] for [to_] in stores, loads, pointers and declared
+    regions; allocations keep [from]. *)
+let replace_buffer ~from ~to_ s =
   let swap b = if Buffer.equal b from then to_ else b in
-  let s = map_exprs fe (map_children (replace_buffer ~from ~to_) s) in
-  match s with
-  | Store (b, idx, v) -> Store (swap b, idx, v)
-  | Block br ->
-      let bl = br.block in
-      let region_map r = { r with buffer = swap r.buffer } in
-      Block
-        {
-          br with
-          block =
-            {
-              bl with
-              reads = List.map region_map bl.reads;
-              writes = List.map region_map bl.writes;
-            };
-        }
-  | _ -> s
+  map_exprs ~buffer:swap (Expr.replace_buffer ~from ~to_) s
 
 (** Depth-first visit of every statement (pre-order), entering block bodies
     and init statements. *)

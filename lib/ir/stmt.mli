@@ -87,14 +87,22 @@ val equal : t -> t -> bool
 val map_children : (t -> t) -> t -> t
 
 (** Rebuild with [fe] on every expression position (indices, values,
-    predicates, bindings, region mins). *)
-val map_exprs : (Expr.t -> Expr.t) -> t -> t
+    predicates, bindings, region mins), and with [buffer] (default: the
+    identity) on the buffer of every store and declared region. One pass:
+    each expression is rewritten once. *)
+val map_exprs : ?buffer:(Buffer.t -> Buffer.t) -> (Expr.t -> Expr.t) -> t -> t
 
 (** Substitute free variables; loop variables and block iterators are
-    binders and shadow the substitution. *)
+    binders and shadow the substitution in their scope, under [Seq] and
+    [If] too. One pass: each expression is rewritten once, so the cost is
+    linear in the size of the statement. *)
 val subst : (Var.t -> Expr.t option) -> t -> t
 
 val subst_map : Expr.t Var.Map.t -> t -> t
+
+(** Swap buffer [from] for [to_] in stores, loads, pointers and declared
+    read/write regions; allocations keep [from]. One pass, linear in the
+    size of the statement. *)
 val replace_buffer : from:Buffer.t -> to_:Buffer.t -> t -> t
 
 (** Pre-order visit of every statement, entering block bodies and inits. *)

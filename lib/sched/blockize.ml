@@ -10,10 +10,10 @@ module Simplify = Tir_arith.Simplify
 module Region = Tir_arith.Region
 
 (* Divide a linear integer expression by [k] exactly, or fail. *)
-let exact_div path e k =
+let exact_div ctx e k =
   if k = 1 then e
   else
-    let l = Simplify.to_linear (simpl path e) in
+    let l = Simplify.simplify_linear ctx e in
     if l.Simplify.const mod k <> 0 then err "blockize: %a not divisible by %d" Expr.pp e k
     else if List.exists (fun (_, c) -> c mod k <> 0) l.Simplify.terms then
       err "blockize: %a not divisible by %d" Expr.pp e k
@@ -28,6 +28,8 @@ let exact_div path e k =
     [loop]; returns the new block's name. *)
 let blockize t loop_var =
   let path, rl = loop_path t loop_var in
+  let ctx = simplify_ctx path in
+  let simpl = Simplify.simplify ctx in
   (* Gather the inner loop chain and the single inner block realize. *)
   let rec chain acc (s : Stmt.t) =
     match s with
@@ -49,13 +51,13 @@ let blockize t loop_var =
   in
   let is_inner v = Var.Map.mem v inner_ranges in
   let zero_if pred e =
-    simpl path (Expr.subst (fun v -> if pred v then Some (Expr.Int 0) else None) e)
+    simpl (Expr.subst (fun v -> if pred v then Some (Expr.Int 0) else None) e)
   in
   (* Decompose each binding e = e_out + e_in with e_in over inner loops. *)
   let decompose (iv : Stmt.iter_var) value =
     let e_in = zero_if (fun v -> not (is_inner v)) value in
     let e_out = zero_if is_inner value in
-    let recomposed = simpl path (Expr.sub value (Expr.add e_out e_in)) in
+    let recomposed = simpl (Expr.sub value (Expr.add e_out e_in)) in
     if not (Expr.is_const_int recomposed 0) then
       err "blockize: binding %a of %a is not separable" Expr.pp value Var.pp iv.var;
     let k =
@@ -68,7 +70,7 @@ let blockize t loop_var =
       err "blockize: extent %d of %a not divisible by tile %d (pad first)" iv.extent
         Var.pp iv.var k;
     let outer_iv = Stmt.iter_var ~itype:iv.itype (Var.fresh (iv.var.Var.name ^ "o")) (iv.extent / k) in
-    let outer_value = exact_div path e_out k in
+    let outer_value = exact_div ctx e_out k in
     let inner_binding =
       Expr.add (Expr.mul (Expr.Var outer_iv.var) (Expr.Int k)) e_in
     in
@@ -90,11 +92,11 @@ let blockize t loop_var =
       {
         r with
         Stmt.region =
-          List.map (fun (mn, ext) -> (simpl path (Expr.subst_map iv_subst mn), ext)) r.region;
+          List.map (fun (mn, ext) -> (simpl (Expr.subst_map iv_subst mn), ext)) r.region;
       }
     in
     let relaxed = Region.relax_region ~relaxed:inner_ranges r' in
-    { relaxed with Stmt.region = List.map (fun (mn, ext) -> (simpl path mn, ext)) relaxed.Stmt.region }
+    { relaxed with Stmt.region = List.map (fun (mn, ext) -> (simpl mn, ext)) relaxed.Stmt.region }
   in
   let inner_realize = Stmt.Block { br with iter_values = inner_bindings } in
   let inner_nest =

@@ -139,9 +139,8 @@ let move t role block_name loop_var =
   let required =
     match union_all outer_ranges regions with
     | Some r ->
-        List.map
-          (fun (mn, ext) -> (State.simpl path_l mn, ext))
-          r.Stmt.region
+        let ctx = simplify_ctx path_l in
+        List.map (fun (mn, ext) -> (Tir_arith.Simplify.simplify ctx mn, ext)) r.Stmt.region
     | None ->
         err "no block inside loop %a accesses buffer %a" Var.pp loop_var Buffer.pp
           target_buffer

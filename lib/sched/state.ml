@@ -116,8 +116,6 @@ let blocks t = Primfunc.blocks t.func
 (** Simplification context from the ranges in scope at [path]. *)
 let simplify_ctx path = { Tir_arith.Simplify.ranges = Zipper.ranges_of_path path }
 
-let simpl path e = Tir_arith.Simplify.simplify (simplify_ctx path) e
-
 (** Prune loops whose body is an empty sequence (used after removing a
     block from its nest). *)
 let rec prune_empty (s : Stmt.t) : Stmt.t option =

@@ -96,8 +96,6 @@ val blocks : t -> Stmt.block_realize list
 (** Simplification context from the ranges in scope at [path]. *)
 val simplify_ctx : Zipper.path -> Tir_arith.Simplify.ctx
 
-val simpl : Zipper.path -> Expr.t -> Expr.t
-
 (** Prune loops whose body is an empty sequence. *)
 val prune_empty : Stmt.t -> Stmt.t option
 

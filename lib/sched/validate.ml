@@ -11,7 +11,11 @@
       must cover all downstream reads, and producers must precede consumers;
     - {b threading validation}: thread-axis consistency and launch limits,
       warp execution scope for warp-level intrinsics, and cooperative-fetch
-      grouping for shared-memory buffers. *)
+      grouping for shared-memory buffers.
+
+    Every store, load and pointer must also give one index per dimension
+    of its buffer: the analyzers and the machine model pair indices with
+    the shape and assume they match. *)
 
 open Tir_ir
 module Iter_map = Tir_arith.Iter_map
@@ -37,6 +41,7 @@ let compare_issue a b =
 
 (* Walking context. *)
 type ctx = {
+  block : string;  (** innermost enclosing block *)
   loops : (Var.t * int * Stmt.for_kind) list;  (** innermost first *)
   ranges : Bound.interval Var.Map.t;
   threads : (string * int * Var.t) list;  (** thread axis, extent, loop var *)
@@ -155,6 +160,30 @@ let check_threads ctx (b : Stmt.block) =
   | None -> ());
   !issues
 
+(* Accesses in the expressions of one statement (not of the statements
+   nested in it) whose index count differs from the buffer's rank. *)
+let check_ranks block (s : Stmt.t) =
+  let issues = ref [] in
+  let check (buf : Buffer.t) idx =
+    let n = List.length idx and rank = List.length buf.Buffer.shape in
+    if n <> rank then
+      issues := issue block "access to %a has %d indices, rank %d" Buffer.pp buf n rank :: !issues
+  in
+  let expr =
+    Expr.iter (function Expr.Load (buf, idx) | Expr.Ptr (buf, idx) -> check buf idx | _ -> ())
+  in
+  (match s with
+  | Stmt.Store (buf, idx, v) ->
+      check buf idx;
+      List.iter expr idx;
+      expr v
+  | Stmt.Eval e | Stmt.If (e, _, _) -> expr e
+  | Stmt.Block br ->
+      List.iter expr br.Stmt.iter_values;
+      expr br.Stmt.predicate
+  | Stmt.For _ | Stmt.Seq _ -> ());
+  !issues
+
 (* Record the read/write hulls of a realize, with every variable in scope
    relaxed. *)
 let record_accesses ctx (br : Stmt.block_realize) reads_acc writes_acc =
@@ -191,6 +220,10 @@ let check_func (f : Primfunc.t) : issue list =
   let order = ref 0 in
   let rec walk ctx (s : Stmt.t) =
     incr ctx.order;
+    let block =
+      match s with Stmt.Block br -> br.Stmt.block.Stmt.name | _ -> ctx.block
+    in
+    issues := check_ranks block s @ !issues;
     match s with
     | Stmt.For r ->
         let threads =
@@ -223,7 +256,7 @@ let check_func (f : Primfunc.t) : issue list =
             (fun acc (iv : Stmt.iter_var) -> (iv.var, iv.extent, Stmt.Serial) :: acc)
             ctx.loops b.iter_vars
         in
-        let ctx' = { ctx with ranges; loops } in
+        let ctx' = { ctx with block; ranges; loops } in
         Option.iter (walk ctx') b.init;
         walk ctx' b.body
     | Stmt.Seq ss -> List.iter (walk ctx) ss
@@ -232,7 +265,9 @@ let check_func (f : Primfunc.t) : issue list =
         Option.iter (walk ctx) el
     | Stmt.Store _ | Stmt.Eval _ -> ()
   in
-  walk { loops = []; ranges = Var.Map.empty; threads = []; order } f.Primfunc.body;
+  walk
+    { block = Primfunc.root_block_name; loops = []; ranges = Var.Map.empty; threads = []; order }
+    f.Primfunc.body;
   (* Coverage and ordering for intermediate buffers. *)
   let allocs = Primfunc.alloc_buffers f in
   List.iter

@@ -126,7 +126,7 @@ let lane_coeff ctx (b : Buffer.t) idx =
           (Expr.Int 0) idx strides
       in
       let flat = Expr.subst_map ctx.subst flat in
-      let l = Simplify.to_linear (Simplify.simplify Simplify.empty_ctx flat) in
+      let l = Simplify.simplify_linear Simplify.empty_ctx flat in
       let exact = ref 0 and fuzzy = ref [] in
       List.iter
         (fun (atom, c) ->

@@ -105,50 +105,16 @@ let test_bound_soundness () =
 
 (* --- the canonical term order --- *)
 
-(* The simplifier with terms sorted by string keys: "v%08d" of a
-   variable's id, the Format printer's text of any other atom; an inserted
-   term merges into the first term with an equal key. The oracle for the
-   keyed order, on ids below 10^7. *)
-module Reference = struct
+(* The simplifier as first written, over a given linearization: simplify
+   the children, rebuild the node with [Expr]'s folding constructors, then
+   canonicalize it, so every [+], [-] and [*] re-linearizes the sum below
+   it. *)
+module Bottom_up (L : sig
+  val to_linear : Expr.t -> Simplify.linear
+end) =
+struct
   open Simplify
-
-  let atom_key (e : Expr.t) =
-    match e with
-    | Expr.Var v -> Printf.sprintf "v%08d" v.Var.id
-    | _ -> Test_expr.reference_to_string e
-
-  let add_term atom coeff terms =
-    if coeff = 0 then terms
-    else
-      let key = atom_key atom in
-      let rec go = function
-        | [] -> [ (atom, coeff) ]
-        | (a, c) :: rest ->
-            let k = atom_key a in
-            if String.equal k key then if c + coeff = 0 then rest else (a, c + coeff) :: rest
-            else if String.compare key k < 0 then (atom, coeff) :: (a, c) :: rest
-            else (a, c) :: go rest
-      in
-      go terms
-
-  let lin_add a b =
-    {
-      const = a.const + b.const;
-      terms = List.fold_left (fun acc (at, c) -> add_term at c acc) a.terms b.terms;
-    }
-
-  let lin_scale k a =
-    if k = 0 then { const = 0; terms = [] }
-    else { const = a.const * k; terms = List.map (fun (at, c) -> (at, c * k)) a.terms }
-
-  let rec to_linear (e : Expr.t) : linear =
-    match e with
-    | Expr.Int i -> { const = i; terms = [] }
-    | Expr.Bin (Expr.Add, a, b) -> lin_add (to_linear a) (to_linear b)
-    | Expr.Bin (Expr.Sub, a, b) -> lin_add (to_linear a) (lin_scale (-1) (to_linear b))
-    | Expr.Bin (Expr.Mul, a, Expr.Int k) | Expr.Bin (Expr.Mul, Expr.Int k, a) ->
-        lin_scale k (to_linear a)
-    | _ -> { const = 0; terms = [ (e, 1) ] }
+  open L
 
   let split_divisible k l =
     let div_terms, rem_terms = List.partition (fun (_, c) -> c mod k = 0) l.terms in
@@ -221,6 +187,60 @@ module Reference = struct
       | _ -> Expr.cmp op a b
 end
 
+(* The bottom-up simplifier over the library's keyed linearization: the
+   oracle for [Simplify.simplify], which linearizes each sum once. *)
+module Keyed_bottom_up = Bottom_up (Simplify)
+
+(* The simplifier with terms sorted by string keys: "v%08d" of a
+   variable's id, the Format printer's text of any other atom; an inserted
+   term merges into the first term with an equal key. The oracle for the
+   keyed order, on ids below 10^7. *)
+module Reference = struct
+  open Simplify
+
+  let atom_key (e : Expr.t) =
+    match e with
+    | Expr.Var v -> Printf.sprintf "v%08d" v.Var.id
+    | _ -> Test_expr.reference_to_string e
+
+  let add_term atom coeff terms =
+    if coeff = 0 then terms
+    else
+      let key = atom_key atom in
+      let rec go = function
+        | [] -> [ (atom, coeff) ]
+        | (a, c) :: rest ->
+            let k = atom_key a in
+            if String.equal k key then if c + coeff = 0 then rest else (a, c + coeff) :: rest
+            else if String.compare key k < 0 then (atom, coeff) :: (a, c) :: rest
+            else (a, c) :: go rest
+      in
+      go terms
+
+  let lin_add a b =
+    {
+      const = a.const + b.const;
+      terms = List.fold_left (fun acc (at, c) -> add_term at c acc) a.terms b.terms;
+    }
+
+  let lin_scale k a =
+    if k = 0 then { const = 0; terms = [] }
+    else { const = a.const * k; terms = List.map (fun (at, c) -> (at, c * k)) a.terms }
+
+  let rec to_linear (e : Expr.t) : linear =
+    match e with
+    | Expr.Int i -> { const = i; terms = [] }
+    | Expr.Bin (Expr.Add, a, b) -> lin_add (to_linear a) (to_linear b)
+    | Expr.Bin (Expr.Sub, a, b) -> lin_add (to_linear a) (lin_scale (-1) (to_linear b))
+    | Expr.Bin (Expr.Mul, a, Expr.Int k) | Expr.Bin (Expr.Mul, Expr.Int k, a) ->
+        lin_scale k (to_linear a)
+    | _ -> { const = 0; terms = [ (e, 1) ] }
+
+  include Bottom_up (struct
+    let to_linear = to_linear
+  end)
+end
+
 (* Variables built as records, so a case picks its ids (below 10^7) and its
    names: [v0], [v1], [v12] and [v1o] start like a variable's old key, and
    a pool draws names from a short list, so distinct variables share a
@@ -290,6 +310,103 @@ let prop_order_matches_reference =
     (fun (ctx, e) ->
       same_linear (Simplify.to_linear e) (Reference.to_linear e)
       && Expr.equal (Simplify.simplify ctx e) (Reference.simplify ctx e))
+
+(* Integer expressions under random ranges, with what the one-pass
+   linearization must reproduce: nested [//], [%], [min], [max],
+   [select], casts (to [int], which fold away, and through [float32] and
+   [int32], which stop a sum), and sums whose operands fold once
+   simplified: [x * (2 + 2)], [0 + x // 4], [x - x], [x * 1], [x * 0],
+   [x - 0], products of two non-constants. *)
+let gen_int_expr =
+  let open QCheck2.Gen in
+  let* pool =
+    array_size (int_range 1 4) (map (fun i -> Var.fresh (Printf.sprintf "x%d" i)) (int_bound 3))
+  in
+  let* extents = array_size (return (Array.length pool)) (int_bound 12) in
+  let ctx =
+    Array.fold_left
+      (fun (ctx, i) v ->
+        ((if extents.(i) = 0 then ctx else Simplify.with_extent ctx v extents.(i)), i + 1))
+      (Simplify.empty_ctx, 0) pool
+    |> fst
+  in
+  let buf = Buffer.create "A" [ 64 ] Dtype.Int in
+  let k = map (fun c -> if c = 0 then 4 else c) (int_range (-2) 8) in
+  let cmp = oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let expr =
+    sized_size (int_bound 24)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ map (fun i -> Expr.Int (i - 5)) (int_bound 10);
+                 map (fun v -> Expr.Var v) (oneofa pool) ]
+           in
+           if n <= 0 then leaf
+           else
+             let sub = self (n / 2) in
+             let bin op = map2 (fun a b -> Expr.Bin (op, a, b)) sub sub in
+             frequency
+               [
+                 (2, leaf);
+                 (3, bin Expr.Add);
+                 (2, bin Expr.Sub);
+                 (1, bin Expr.Mul);
+                 (2, map2 (fun a c -> Expr.Bin (Expr.Mul, a, Expr.Int (c - 4))) sub (int_bound 8));
+                 (1, map (fun a -> Expr.Bin (Expr.Mul, a, Expr.Bin (Expr.Add, Expr.Int 2, Expr.Int 2))) sub);
+                 (1, map (fun a -> Expr.Bin (Expr.Add, Expr.Int 0, Expr.Bin (Expr.Div, a, Expr.Int 4))) sub);
+                 (1, map (fun a -> Expr.Bin (Expr.Sub, a, a)) sub);
+                 (1, map2 (fun a c -> Expr.Bin (Expr.Mul, Expr.Int (c mod 2), a)) sub (int_bound 3));
+                 (1, map (fun a -> Expr.Bin (Expr.Sub, a, Expr.Bin (Expr.Sub, Expr.Int 3, Expr.Int 3))) sub);
+                 (2, map2 (fun a c -> Expr.Bin (Expr.Div, a, Expr.Int c)) sub k);
+                 (2, map2 (fun a c -> Expr.Bin (Expr.Mod, a, Expr.Int c)) sub k);
+                 (1, map2 (fun a v -> Expr.Bin (Expr.Div, a, Expr.Var v)) sub (oneofa pool));
+                 (1, bin Expr.Min);
+                 (1, bin Expr.Max);
+                 ( 1,
+                   map3
+                     (fun (op, a, b) t f -> Expr.Select (Expr.Cmp (op, a, b), t, f))
+                     (triple cmp sub sub) sub sub );
+                 (1, map2 (fun t f -> Expr.Select (Expr.Bool true, t, f)) sub sub);
+                 (1, map (fun a -> Expr.Cast (Dtype.Int, a)) sub);
+                 (1, map (fun a -> Expr.Cast (Dtype.Int, Expr.Cast (Dtype.F32, a))) sub);
+                 (1, map2 (fun a b -> Expr.Bin (Expr.Add, a, Expr.Cast (Dtype.I32, b))) sub sub);
+                 (1, map (fun i -> Expr.Load (buf, [ i ])) sub);
+               ])
+  in
+  pair (return ctx) expr
+
+let prop_one_pass_matches_bottom_up =
+  QCheck2.Test.make ~name:"simplify and simplify_linear match the bottom-up simplifier"
+    ~count:3000
+    ~print:(fun (_, e) -> Expr.to_string e)
+    gen_int_expr
+    (fun (ctx, e) ->
+      let expected = Keyed_bottom_up.simplify ctx e and actual = Simplify.simplify ctx e in
+      Expr.equal expected actual
+      && String.equal (Expr.to_string expected) (Expr.to_string actual)
+      && same_linear (Simplify.simplify_linear ctx e) (Simplify.to_linear actual))
+
+(* Distinct atoms printed alike merge into the one the bottom-up
+   simplifier met first, through [-], [*] and nested sums. *)
+let test_printed_alike_keep_first () =
+  let a = Buffer.create "A" [ 64 ] Dtype.Int in
+  let x1 = Var.fresh "x" and x2 = Var.fresh "x" and y = Var.fresh "y" in
+  let ld v = Expr.Load (a, [ Expr.Var v ]) in
+  let open Expr in
+  List.iter
+    (fun e ->
+      let expected = Keyed_bottom_up.simplify Simplify.empty_ctx e in
+      check_expr (to_string e) expected (Simplify.simplify Simplify.empty_ctx e);
+      match expected with
+      | Int _ -> Alcotest.failf "%s: the atoms must not cancel" (to_string e)
+      | _ -> ())
+    [
+      Bin (Sub, Bin (Mul, ld x1, Int 2), ld x2);
+      Bin (Sub, ld x2, Bin (Mul, Int 3, ld x1));
+      Bin (Sub, Bin (Add, ld x1, Var y), Bin (Sub, Bin (Mul, ld x2, Int 3), Var y));
+      Bin (Add, Bin (Mul, Bin (Sub, ld x2, Var y), Int 2), Bin (Add, Var y, ld x1));
+      Bin (Mul, Bin (Sub, Bin (Mul, ld x1, Int 2), ld x2), Bin (Add, Int 1, Int 1));
+    ]
 
 (* String keys read an id's digits: under them [a * 2 + v1 // 4] came out
    in the other order once [a]'s id reached 10^7, and id 10^8 sorted
@@ -419,7 +536,9 @@ let suite =
       ("comparison proofs", `Quick, test_cmp_proofs);
       ("bound soundness (qcheck)", `Quick, test_bound_soundness);
       QCheck_alcotest.to_alcotest prop_order_matches_reference;
+      QCheck_alcotest.to_alcotest prop_one_pass_matches_bottom_up;
       ("term order ignores id digits", `Quick, test_order_ignores_id_digits);
+      ("atoms printed alike keep the first", `Quick, test_printed_alike_keep_first);
       ("iter map: identity", `Quick, test_iter_map_identity);
       ("iter map: div/mod legal", `Quick, test_iter_map_divmod_legal);
       ("iter map: overlap illegal", `Quick, test_iter_map_overlap_illegal);

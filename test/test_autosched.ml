@@ -291,21 +291,16 @@ let test_best_ignores_variable_count () =
   done;
   Alcotest.(check string) "same best after 2*10^7 more variables" before (best ())
 
-(* Feature extraction walks a program before anything has checked it.
-   The test-only sketch below delivers the matmul nest with [i] and [j]
-   both bound to [threadIdx.x], which fails validation (one axis bound
-   twice on a path), and the store into [C] indexed by [vj] alone, which
-   breaks the machine model: it reads the lane stride of that index
-   against [C]'s two dimensions and raises [Invalid_argument]. The
-   candidate must be classified as its checks classify it. *)
-let test_unextractable_candidate () =
+(* The matmul nest with the loops at the depths [bind] selects bound to
+   [threadIdx.x], and the store into [C] indexed by [vj] alone, delivered
+   by a test-only sketch. *)
+let mangled_matmul ~bind =
   let f = Util.matmul () in
   let rec mangle depth (s : Stmt.t) =
     match s with
-    | Stmt.For r when depth < 2 ->
-        Stmt.For
-          { r with kind = Stmt.Thread_binding "threadIdx.x"; body = mangle (depth + 1) r.body }
-    | Stmt.For r -> Stmt.For { r with body = mangle (depth + 1) r.body }
+    | Stmt.For r ->
+        let kind = if bind depth then Stmt.Thread_binding "threadIdx.x" else r.kind in
+        Stmt.For { r with kind; body = mangle (depth + 1) r.body }
     | Stmt.Block br ->
         let b = br.Stmt.block in
         Stmt.Block { br with Stmt.block = { b with Stmt.body = mangle depth b.Stmt.body } }
@@ -327,6 +322,14 @@ let test_unextractable_candidate () =
       apply = (fun _ -> Tir_sched.Schedule.create func);
     }
   in
+  (func, sk)
+
+(* The store into [C[vj]] breaks the machine model: it reads the lane
+   stride of that index against [C]'s two dimensions and raises
+   [Invalid_argument]. Feature extraction walks a program before anything
+   has checked it, so the candidate must be classified as its checks
+   classify it. *)
+let check_rejected_as_invalid func sk =
   (match Tir_autosched.Features.extract gpu func with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "the test program must break feature extraction");
@@ -338,6 +341,26 @@ let test_unextractable_candidate () =
   match Tir_autosched.Eval.evaluate ~target:gpu sk [] with
   | Tir_autosched.Eval.Invalid -> ()
   | _ -> Alcotest.fail "evaluate must report Invalid"
+
+(* [i] and [j] both bound to [threadIdx.x]: one axis bound twice on a
+   path fails validation on its own. *)
+let test_unextractable_candidate () =
+  let func, sk = mangled_matmul ~bind:(fun depth -> depth < 2) in
+  check_rejected_as_invalid func sk
+
+(* Only [j] bound: the one-index store into the two-dimensional [C] is
+   all that is wrong, and the validator reports it on the block. *)
+let test_rank_mismatch_invalid () =
+  let func, sk = mangled_matmul ~bind:(fun depth -> depth = 1) in
+  let rank_issues =
+    List.filter
+      (fun (i : Tir_sched.Validate.issue) ->
+        String.equal i.Tir_sched.Validate.message "access to C has 1 indices, rank 2")
+      (Tir_sched.Validate.check_func func)
+  in
+  Alcotest.(check (list string)) "reported on the block" [ "C" ]
+    (List.map (fun (i : Tir_sched.Validate.issue) -> i.Tir_sched.Validate.block) rank_issues);
+  check_rejected_as_invalid func sk
 
 (* The measured sequence of seeded searches, pinned bit for bit: the MD5
    of every measured (trace, latency) pair in measurement order, and the
@@ -445,5 +468,6 @@ let suite =
       ("tensorized feature flag", `Quick, test_tensorized_feature_flag);
       ("best ignores how many variables exist", `Quick, test_best_ignores_variable_count);
       ("unextractable candidate: checks decide", `Quick, test_unextractable_candidate);
+      ("index count against rank: invalid", `Quick, test_rank_mismatch_invalid);
       ("golden searches: measured sequence pinned", `Quick, test_golden_searches);
     ]

@@ -15,6 +15,7 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("zipper", Test_zipper.suite);
       ("sched", Test_sched.suite);
+      ("rewrite", Test_rewrite.suite);
       ("trace", Test_trace.suite);
       ("sched-errors", Test_sched_errors.suite);
       ("candidate", Test_candidate.suite);
