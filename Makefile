@@ -49,7 +49,8 @@ perfbench-smoke: build
 # Kill-and-resume smoke test of the session layer through the CLI: a tune
 # halted after one committed generation must exit 8, report as resumable,
 # finish under --resume, and then report as completed; a tune under
-# injected faults (TIR_FAULTS) must still complete.
+# injected faults (TIR_FAULTS: measurements and database writes) must
+# still complete.
 crash-smoke: build
 	rm -f /tmp/tir_crash_smoke.wal
 	dune exec bin/tensorir_cli.exe -- tune GMM --trials 16 \
@@ -98,24 +99,30 @@ serve-smoke: build
 	  | grep -q "gmm-replay.*done"
 	rm -rf /tmp/tir_serve_smoke
 
-# Observability smoke test: a short serve run with tracing and telemetry
-# enabled must produce a validating Chrome trace (well-formed JSON,
-# monotone timestamps, tenant/job context on every event) that
-# `tensorir report` can summarize, and a telemetry snapshot that
-# `tensorir top` can render. A traced tune must produce a validating
-# trace whose report shows a non-empty, monotone search summary.
+# Observability smoke test: a short serve run with tracing and a metrics
+# snapshot enabled must produce a validating Chrome trace (well-formed
+# JSON, monotone timestamps, tenant/job context on every event) that
+# `tensorir report` can summarize, and a metrics snapshot that
+# `tensorir top` can render, with a row and a finite best for the job
+# whose name holds a dot. A traced tune must produce a validating trace
+# whose report shows a non-empty, monotone search summary.
 trace-smoke: build
 	rm -rf /tmp/tir_trace_smoke
 	dune exec bin/tensorir_cli.exe -- submit --queue /tmp/tir_trace_smoke \
 	  GMM --trials 16 --seed 11
+	dune exec bin/tensorir_cli.exe -- submit --queue /tmp/tir_trace_smoke \
+	  GMM --trials 16 --seed 13 --name gmm.smoke
 	dune exec bin/tensorir_cli.exe -- serve --queue /tmp/tir_trace_smoke \
 	  --drain --trace-out /tmp/tir_trace_smoke/trace.json \
-	  --telemetry-out /tmp/tir_trace_smoke/telemetry.prom
+	  --metrics-out /tmp/tir_trace_smoke/metrics.json
 	dune exec tools/validate_trace.exe /tmp/tir_trace_smoke/trace.json
 	dune exec bin/tensorir_cli.exe -- report /tmp/tir_trace_smoke/trace.json \
 	  | grep -q "^summary: [1-9][0-9]* generation"
-	dune exec bin/tensorir_cli.exe -- top /tmp/tir_trace_smoke/telemetry.prom \
-	  | grep -q "queue:"
+	dune exec bin/tensorir_cli.exe -- top /tmp/tir_trace_smoke/metrics.json \
+	  > /tmp/tir_trace_smoke/top.txt
+	grep -q "queue:" /tmp/tir_trace_smoke/top.txt
+	grep -Eq "^gmm\.smoke +[0-9]+ +[0-9]+ +[0-9]+\.[0-9]+  " \
+	  /tmp/tir_trace_smoke/top.txt
 	dune exec bin/tensorir_cli.exe -- tune GMM --trials 16 \
 	  --trace-out /tmp/tir_trace_smoke/tune.json
 	dune exec tools/validate_trace.exe /tmp/tir_trace_smoke/tune.json
@@ -156,7 +163,7 @@ legality-smoke: build
 # The full pre-merge gate: build, unit + property tests, lint, bench smoke
 # run (gated row by row against the committed baseline), two full-scale
 # perfbench units and two traced perfbench runs, kill-and-resume smoke
-# run, multi-tenant serve smoke run, and the tracing/telemetry smoke run.
+# run, multi-tenant serve smoke run, and the tracing/metrics smoke run.
 check: build
 	dune runtest
 	$(MAKE) lint

@@ -417,8 +417,10 @@ let ablation () =
 (* hotpath: evaluation pipeline over a converging proposal stream       *)
 (* ------------------------------------------------------------------ *)
 
-(* The deterministic proposal stream of BENCH_baseline.json: the shape of
-   a converging evolutionary search. Each generation proposes mutations of
+(* The deterministic proposal stream behind the exact
+   [hotpath/<sketch>:{proposals,unique,evaluated,inapplicable,invalid}]
+   rows of BENCH_check_baseline.json: the shape of a converging
+   evolutionary search. Each generation proposes mutations of
    a persistent elite set; while the search still explores, one elite is
    refreshed per few generations with that generation's first novel
    proposal, and once it converges (the second half) the frozen
@@ -459,8 +461,8 @@ let hotpath_stream (sk : Tir_autosched.Sketch.t) ~gens ~per_gen ~elites:ne =
 (* One pass of the search's evaluation pipeline (decision-key memo, exact
    pre-filter, apply cache, validate, analyze, featurize) over the stream
    of each sketch, from cold caches as a fresh search starts. The
-   per-class tallies equal those of the pre-refactor pipeline recorded in
-   BENCH_baseline.json. *)
+   per-class tallies equal those of the pre-refactor pipeline; the exact
+   [hotpath/<sketch>:*] rows of BENCH_check_baseline.json hold them. *)
 let hotpath () =
   section "hotpath"
     "search hot path: evaluation-pipeline classification of a converging proposal stream";
@@ -716,7 +718,7 @@ let session_bench () =
     halted identical;
   check "session" "resume_identical" identical;
   record_op "session" "resumed" w resumed;
-  (* Under injected faults (simulator, pool and database sites) the retry
+  (* Under injected faults (simulator and database sites) the retry
      layer must still deliver a measured best. *)
   Tir_autosched.Eval.clear_caches ();
   F.set ~rate:0.2 ~seed:42 ();

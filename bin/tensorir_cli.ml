@@ -15,7 +15,7 @@
                                           job directory
      tensorir submit <workload> [opts]    drop a job into a queue directory
      tensorir jobs --queue <dir>          list a queue's jobs and states
-     tensorir top <telemetry-file>        render a serve telemetry snapshot
+     tensorir top <metrics-file>          render a serve metrics snapshot
 
    Exit codes: 0 ok, 1 findings, 2 usage, then one per error kind
    (Parse 3, Io 4, Corrupt 5, Fault 7) and 8 when a session
@@ -250,7 +250,7 @@ let tune_cmd =
   let halt_after_arg =
     let doc =
       "Stop after $(docv) generations committed this run (exit code 8); \
-       used to exercise kill-and-resume. Also read from TIR_HALT_AFTER_GEN."
+       used to exercise kill-and-resume."
     in
     Arg.(value & opt (some int) None & info [ "halt-after" ] ~docv:"N" ~doc)
   in
@@ -725,7 +725,7 @@ let queue_arg =
   Arg.(required & opt (some string) None & info [ "queue"; "q" ] ~docv:"DIR" ~doc)
 
 let serve_cmd =
-  let run queue jobs drain max_steps metrics_out telemetry_out trace_out poll =
+  let run queue jobs drain max_steps metrics_out trace_out poll =
     with_errors @@ fun () ->
     let cfg =
       {
@@ -734,7 +734,6 @@ let serve_cmd =
         drain;
         max_steps;
         metrics_out;
-        telemetry_out;
         trace_out;
         poll_interval_s = poll;
       }
@@ -774,18 +773,10 @@ let serve_cmd =
     let doc =
       "Dump the metrics registry as JSON to $(docv) (atomic tmp+rename) on \
        every scheduler event and every idle poll tick — a scrape-able \
-       snapshot of counters, gauges, and histograms."
+       snapshot of counters, gauges, and histograms. $(b,tensorir top) \
+       renders this file."
     in
     Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-  in
-  let telemetry_arg =
-    let doc =
-      "Write a Prometheus-style text exposition of the metrics registry to \
-       $(docv) at the same cadence and atomicity as $(b,--metrics-out). \
-       $(b,tensorir top) renders this file."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "telemetry-out" ] ~docv:"FILE" ~doc)
   in
   let trace_arg =
     let doc =
@@ -803,7 +794,7 @@ let serve_cmd =
        ~doc:"Serve a job-directory queue: multi-tenant fair-share tuning")
     Term.(
       const run $ queue_arg $ jobs_arg $ drain_arg $ max_steps_arg $ metrics_arg
-      $ telemetry_arg $ trace_arg $ poll_arg)
+      $ trace_arg $ poll_arg)
 
 let submit_cmd =
   let run queue tag target trials seed priority name =
@@ -856,55 +847,57 @@ let submit_cmd =
       $ priority_arg $ name_arg)
 
 let top_cmd =
-  let module Telemetry = Tir_obs.Telemetry in
+  let module M = Tir_obs.Metrics in
   let run file =
     with_errors @@ fun () ->
-    let src =
-      try In_channel.with_open_text file In_channel.input_all
-      with Sys_error msg -> Error.raise_error Error.Io msg
-    in
-    let samples =
-      try Telemetry.parse src
-      with Failure msg ->
+    let snap =
+      try M.snapshot_of_json (Tir_core.File.read file)
+      with Tir_obs.Json_min.Invalid msg ->
         Error.raise_error ~context:file Error.Parse msg
     in
-    let g name = Option.value ~default:0.0 (Telemetry.find samples name) in
+    let gauge name = Option.value ~default:0.0 (M.find_gauge snap name) in
+    let count name = Option.value ~default:0 (M.find_counter snap name) in
     Fmt.pr "queue: %.0f pending, %.0f running, %.0f done, %.0f failed@."
-      (g "tir_serve_queue_pending") (g "tir_serve_queue_running")
-      (g "tir_serve_queue_done") (g "tir_serve_queue_failed");
-    Fmt.pr "pool: busy %.0f%%, scheduler steps %.0f, stalled tenants %.0f@."
-      (100.0 *. g "tir_pool_busy_frac")
-      (g "tir_scheduler_steps")
-      (g "tir_search_stalled_tenants");
-    (match Telemetry.tenants samples with
+      (gauge "serve.queue.pending") (gauge "serve.queue.running")
+      (gauge "serve.queue.done") (gauge "serve.queue.failed");
+    Fmt.pr "pool: busy %.0f%%, scheduler steps %d, stalled tenants %.0f@."
+      (100.0 *. gauge "pool.busy_frac")
+      (count "scheduler.steps")
+      (gauge "search.stalled_tenants");
+    (* Every tenant has a [tenant.<name>.best_us] gauge; names may hold
+       dots. *)
+    let tenant (name, _) =
+      let prefix = "tenant." and suffix = ".best_us" in
+      let n = String.length name - String.length prefix - String.length suffix in
+      if n > 0 && String.starts_with ~prefix name && String.ends_with ~suffix name
+      then Some (String.sub name (String.length prefix) n)
+      else None
+    in
+    match List.filter_map tenant snap.M.gauges with
     | [] -> Fmt.pr "@.no tenants@."
     | tenants ->
         Fmt.pr "@.%-28s %6s %6s %12s  %s@." "TENANT" "GENS" "STEPS" "BEST_US"
           "STATE";
         List.iter
           (fun tn ->
-            let v m = Telemetry.tenant_value samples m tn in
-            let num m = Option.value ~default:0.0 (v m) in
+            let m metric = Printf.sprintf "tenant.%s.%s" tn metric in
             let best =
-              match v "best_us" with
-              | Some b when Float.is_finite b -> Printf.sprintf "%.2f" b
-              | _ -> "-"
+              let b = gauge (m "best_us") in
+              if Float.is_finite b then Printf.sprintf "%.2f" b else "-"
             in
-            let state = if num "stalled" > 0.0 then "stalled" else "running" in
-            Fmt.pr "%-28s %6.0f %6.0f %12s  %s@." tn (num "generations")
-              (num "steps") best state)
-          tenants)
+            let state = if gauge (m "stalled") > 0.0 then "stalled" else "running" in
+            Fmt.pr "%-28s %6d %6d %12s  %s@." tn (count (m "generations"))
+              (count (m "steps")) best state)
+          tenants
   in
   let file_arg =
-    let doc =
-      "Telemetry snapshot written by $(b,tensorir serve --telemetry-out)."
-    in
+    let doc = "Metrics snapshot written by $(b,tensorir serve --metrics-out)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Render a serve telemetry snapshot: queue depth, pool utilization, \
+         "Render a serve metrics snapshot: queue depth, pool utilization, \
           per-tenant progress and stall state")
     Term.(const run $ file_arg)
 

@@ -131,7 +131,7 @@ let record_of_line_v1 line =
   | _ -> failwith ("bad database line: " ^ line)
 
 (* One guarded write under the fault-injection harness (site [Db_write]):
-   injected failures are retried with deterministic backoff; exhaustion
+   injected failures are retried a bounded number of times; exhaustion
    surfaces as [Error.Error] with kind [Fault], never as a silent partial
    write. No-op (beyond the write itself) when injection is off. *)
 let db_write_guard ~key =
@@ -145,37 +145,23 @@ let db_write_guard ~key =
         (Printf.sprintf "%s write failed after %d attempts" site attempts)
 
 let save t path =
-  (* Write-then-rename: a crash (or an exhausted injected fault) mid-save
-     leaves the previous snapshot intact — readers never observe a
-     half-written database. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc (version_header ^ "\n");
-     List.iteri
-       (fun i r ->
-         db_write_guard ~key:(Printf.sprintf "dbsave:%d" i);
-         output_string oc (record_to_line r ^ "\n"))
-       (List.rev t.records);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  (* Write-then-rename: a crash, a failed write (a full disk) or an
+     exhausted injected fault mid-save leaves the previous snapshot
+     intact — readers never observe a half-written database. *)
+  Tir_core.File.write_atomic path (fun oc ->
+      output_string oc (version_header ^ "\n");
+      List.iteri
+        (fun i r ->
+          db_write_guard ~key:(Printf.sprintf "dbsave:%d" i);
+          output_string oc (record_to_line r ^ "\n"))
+        (List.rev t.records))
 
 let m_torn = Tir_obs.Metrics.counter "db.torn_dropped"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let load path =
   if not (Sys.file_exists path) then create ()
   else begin
-    let content = read_file path in
+    let content = Tir_core.File.read path in
     let len = String.length content in
     (* A file that does not end in a newline was torn by a crash
        mid-append: its final (partial) line is dropped if unparseable.
@@ -217,8 +203,6 @@ let load_result path : (t, Tir_core.Error.t) result =
       Error
         (Tir_core.Error.make ~context:path Tir_core.Error.Corrupt
            ("bad trace field: " ^ msg))
-  | exception Sys_error msg ->
-      Error (Tir_core.Error.make ~context:path Tir_core.Error.Io msg)
   | exception Tir_core.Error.Error e -> Error e
 
 (** Record the best result of a tuning run. *)

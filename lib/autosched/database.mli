@@ -31,19 +31,21 @@ val find : t -> target_name:string -> workload_name:string -> record option
 val add : t -> record -> unit
 val size : t -> int
 
-(** Write the v2 format (with version header), atomically: the snapshot
-    is written to [path ^ ".tmp"] and renamed into place, so a crash
-    mid-save leaves the previous file intact. Under fault injection
-    (site [Db_write] of [Tir_core.Fault]) each line write retries
-    injected failures; exhaustion raises [Tir_core.Error.Error] with
-    kind [Fault]. *)
+(** Write the v2 format (with version header), atomically
+    ([Tir_core.File.write_atomic]): a crash or a failed write mid-save
+    leaves the previous file intact, and a failed write raises
+    [Tir_core.Error.Error] with kind [Io]. Under fault injection (site
+    [Db_write] of [Tir_core.Fault]) each line write retries injected
+    failures; exhaustion raises [Tir_core.Error.Error] with kind
+    [Fault]. *)
 val save : t -> string -> unit
 
 (** Load from disk; a missing file yields an empty database. Reads v2
     (version header present) and v1 (headerless) files. A torn trailing
     line (crash mid-append: no final newline, unparseable) is dropped
     and counted ([db.torn_dropped]); newline-terminated garbage still
-    raises — that is corruption, not a torn write. *)
+    raises — that is corruption, not a torn write. A file that cannot
+    be read raises [Tir_core.Error.Error] with kind [Io]. *)
 val load : string -> t
 
 (** [load] through the unified error surface: [Io] when the filesystem

@@ -198,7 +198,6 @@ type t = {
   use_cost_model : bool;
   evolve : bool;
   pool : Pool.t;
-  retry : Tir_parallel.Retry.policy option;
   checkpoint : checkpoint option;
   seed : int;
   target : Tir_sim.Target.t;
@@ -474,8 +473,7 @@ let measure_top t scored =
         (* the program fingerprint is the candidate identity on the trace *)
         Tir_obs.Trace.with_ctx ~candidate:key (fun () ->
             Tir_obs.Trace.with_span "measure" (fun () ->
-                Eval.measure_cached ?retry:t.retry ~key ~target:t.target
-                  func)))
+                Eval.measure_cached ~key ~target:t.target func)))
       distinct
   in
   let by_key = Hashtbl.create 16 in
@@ -613,7 +611,7 @@ let finish_generation t =
   t.gen <- t.gen + 1;
   t.tally <- new_gen_tally ()
 
-let create ?(use_cost_model = true) ?(evolve = true) ?model ?group ?pool ?retry
+let create ?(use_cost_model = true) ?(evolve = true) ?model ?group ?pool
     ?checkpoint ?resume ~seed ~target ~trials (sketches : Sketch.t list) : t =
   let pool = match pool with Some p -> p | None -> Pool.global () in
   let model = match model with Some m -> m | None -> Model.gbdt () in
@@ -625,7 +623,6 @@ let create ?(use_cost_model = true) ?(evolve = true) ?model ?group ?pool ?retry
       use_cost_model;
       evolve;
       pool;
-      retry;
       checkpoint;
       seed;
       target;

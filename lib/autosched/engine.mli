@@ -101,8 +101,8 @@ type event =
     ["target|workload"]), [pool] is the domain pool the per-generation
     pipeline fans out across (default: the process-wide
     [TIR_JOBS]-sized pool) and may be shared with other engines,
-    [retry] governs measurement fault retries, [checkpoint]/[resume]
-    are the WAL hooks and the rebuilt re-entry state. Generation randomness derives from [(seed, gen)] only, so
+    [checkpoint]/[resume] are the WAL hooks and the rebuilt re-entry
+    state. Generation randomness derives from [(seed, gen)] only, so
     results are bit-identical at any job count and under any interleaving
     of engines. *)
 val create :
@@ -111,7 +111,6 @@ val create :
   ?model:Model.t ->
   ?group:string ->
   ?pool:Tir_parallel.Pool.t ->
-  ?retry:Tir_parallel.Retry.policy ->
   ?checkpoint:checkpoint ->
   ?resume:resume ->
   seed:int ->
@@ -131,9 +130,9 @@ val create :
     checking every candidate first would measure. Without a cost model
     every candidate is checked before the random ranking.
 
-    Candidates whose measurements exhaust [retry] are counted
-    [unmeasurable] and skipped: they never reach the cost model, the
-    elite set, or the checkpoint log. Every generation bumps the
+    Candidates whose measurements exhaust their fault retries are
+    counted [unmeasurable] and skipped: they never reach the cost model,
+    the elite set, or the checkpoint log. Every generation bumps the
     [search.*] counters and the [costmodel.rank_corr] gauge in the
     metrics registry. When tracing is on, it also records one
     [gen.commit] instant carrying the generation's funnel (proposed,

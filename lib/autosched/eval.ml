@@ -47,10 +47,9 @@ type measurement =
   | Measured of float  (** latency in microseconds *)
   | Unsupported_target  (** the machine model cannot run the program *)
   | Unmeasurable
-      (** the candidate could not be measured: injected faults exhausted
-          the retry budget, or the simulated latency blew the
-          per-candidate measurement budget. Deterministic under a fixed
-          fault seed — and never fed to the cost model or database. *)
+      (** the candidate could not be measured: injected faults failed
+          every retry. Deterministic under a fixed fault seed — and never
+          fed to the cost model or database. *)
 
 (* A candidate that applied and was featurized, with the verdict of its
    checks once they ran. The lock makes the checks run at most once per
@@ -211,40 +210,28 @@ let evaluate_cached ~key ~target sk d =
   let hit, p = prepare_cached ~key ~target sk d in
   (hit, settle p)
 
-let m_timeout = Tir_obs.Metrics.counter "measure.timeout"
-
-(* One measurement attempt under the retry policy's budget. *)
-let classify policy latency_us =
-  if latency_us > policy.Tir_parallel.Retry.timeout_us then begin
-    Tir_obs.Metrics.incr m_timeout;
-    Unmeasurable
-  end
-  else Measured latency_us
-
 (** Memoized measurement; returns [(cache_hit, outcome)].
 
     Fault handling: when injection is configured for the [Measure] site,
     each attempt passes a per-attempt fault key to the simulator and
-    injected failures are retried under [retry]. Retry exhaustion raises
-    out of the memo's compute function — the memo removes its pending
-    marker on a raise — so an exhausted candidate is reported
-    [Unmeasurable] {e without being cached}: it never poisons the memo
-    for a later run with different fault configuration. A candidate whose
-    simulated latency exceeds [retry.timeout_us] is deterministically
-    [Unmeasurable] (that outcome {e is} cached — the simulator is pure). *)
-let measure_cached ?(retry = Tir_parallel.Retry.default) ~key ~target f =
+    injected failures are retried ({!Tir_parallel.Retry}). Retry
+    exhaustion raises out of the memo's compute function — the memo
+    removes its pending marker on a raise — so an exhausted candidate is
+    reported [Unmeasurable] {e without being cached}: it never poisons
+    the memo for a later run with different fault configuration. *)
+let measure_cached ~key ~target f =
   match
     Memo.find_or_add measure_cache key (fun () ->
         match
           if Tir_core.Fault.enabled Tir_core.Fault.Measure then
-            Tir_parallel.Retry.with_retries ~policy:retry ~site:"measure" ~key
+            Tir_parallel.Retry.with_retries ~site:"measure" ~key
               (fun ~attempt ->
                 Tir_sim.Machine.measure_us
                   ~fault_key:(Printf.sprintf "%s@%d" key attempt)
                   target f)
           else Tir_sim.Machine.measure_us target f
         with
-        | latency_us -> classify retry latency_us
+        | latency_us -> Measured latency_us
         | exception Tir_sim.Machine.Unsupported _ -> Unsupported_target)
   with
   | outcome -> outcome

@@ -95,16 +95,14 @@ type measurement =
   | Measured of float  (** latency in microseconds *)
   | Unsupported_target  (** the machine model cannot run the program *)
   | Unmeasurable
-      (** injected faults exhausted the retry budget, or the simulated
-          latency blew the per-candidate budget ([retry.timeout_us]).
-          Deterministic under a fixed fault seed; never fed to the cost
-          model or database, and retry exhaustion is never cached. *)
+      (** injected faults failed every retry. Deterministic under a
+          fixed fault seed; never fed to the cost model or database, and
+          never cached. *)
 
 (** Memoized machine-model measurement; returns [(cache_hit, outcome)].
-    [retry] governs fault-injection retries (site [Measure] of
-    [Tir_core.Fault]) and the per-candidate measurement budget. *)
+    Injected faults (site [Measure] of [Tir_core.Fault]) are retried
+    through {!Tir_parallel.Retry.with_retries}. *)
 val measure_cached :
-  ?retry:Tir_parallel.Retry.policy ->
   key:string ->
   target:Tir_sim.Target.t ->
   Tir_ir.Primfunc.t ->

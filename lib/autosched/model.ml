@@ -224,15 +224,9 @@ let spec_of_string s =
 (* --- the persisted store ------------------------------------------------ *)
 
 module Store = struct
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
   let parse path =
     if Sys.file_exists path then
-      match load (read_file path) with
+      match load (Tir_core.File.read path) with
       | m -> Some m
       | exception Parse_error _ -> None
     else None
@@ -243,14 +237,10 @@ module Store = struct
     Option.iter retrain m;
     m
 
-  (* Atomic publish: a crashed writer never leaves a torn store. *)
+  (* Atomic publish: a crashed or failed writer never leaves a torn
+     store. *)
   let save ~path model =
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (save model));
-    Sys.rename tmp path
+    Tir_core.File.write_atomic path (fun oc -> output_string oc (save model))
 
   let absorb ~path model =
     (* A warm-started run's model carries the store's own samples; exact

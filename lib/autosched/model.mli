@@ -81,9 +81,13 @@ val spec_of_string : string -> spec
 module Store : sig
   (** Parse the store and fit it once. [None] when the file does not
       exist or does not parse (a corrupt store degrades to a cold start,
-      never a crash). *)
+      never a crash). A file that cannot be read raises
+      [Tir_core.Error.Error] with kind [Io]. *)
   val load : string -> t option
 
+  (** Publish atomically ([Tir_core.File.write_atomic]): a failed write
+      raises [Tir_core.Error.Error] with kind [Io] and leaves the old
+      file in place. *)
   val save : path:string -> t -> unit
 
   (** Merge [model]'s samples into the samples stored at [path] and save

@@ -70,8 +70,6 @@ module Config = struct
     jobs : int option;
         (** size of a private domain pool for this call; [None] shares
             the process-wide [TIR_JOBS]-sized pool *)
-    retry : Tir_parallel.Retry.policy;
-        (** measurement fault retries + per-candidate budget *)
     model : Model.spec;
         (** which cost model ranks candidates: a fresh learner
             ([Model.Gbdt], the default) or a warm-start snapshot
@@ -87,7 +85,6 @@ module Config = struct
       sketches = None;
       database = None;
       jobs = None;
-      retry = Tir_parallel.Retry.default;
       model = Model.Gbdt;
     }
 
@@ -98,7 +95,6 @@ module Config = struct
   let with_sketches s t = { t with sketches = Some s }
   let with_database db t = { t with database = Some db }
   let with_jobs jobs t = { t with jobs = Some jobs }
-  let with_retry retry t = { t with retry }
   let with_model model t = { t with model }
 end
 
@@ -142,7 +138,7 @@ let release d =
     pool that {!release} (or the last {!step}) joins. *)
 let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
     (target : Tir_sim.Target.t) : driver =
-  let { Config.seed; trials; use_cost_model; evolve; retry; _ } = cfg in
+  let { Config.seed; trials; use_cost_model; evolve; _ } = cfg in
   let sketches =
     Trace.with_span "tune.sketch_gen" (fun () ->
         match cfg.Config.sketches with
@@ -193,7 +189,7 @@ let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
         Engine.create ~use_cost_model ~evolve
           ~model:(Model.of_spec cfg.Config.model)
           ~group:(target.Tir_sim.Target.name ^ "|" ^ w.W.name)
-          ?pool:engine_pool ~retry ?checkpoint
+          ?pool:engine_pool ?checkpoint
           ?resume ~seed ~target ~trials sketches
       in
       {

@@ -47,8 +47,6 @@ module Config : sig
     jobs : int option;
         (** size of a private domain pool for this call; [None] shares
             the process-wide [TIR_JOBS]-sized pool *)
-    retry : Tir_parallel.Retry.policy;
-        (** measurement fault retries + per-candidate budget *)
     model : Model.spec;
         (** which cost model ranks candidates: a fresh learner
             ([Model.Gbdt], the default) or a warm-start snapshot
@@ -56,8 +54,7 @@ module Config : sig
   }
 
   (** seed 42, 64 trials, cost model + evolution on, no sketches /
-      database override, shared pool, [Retry.default], a fresh
-      [Model.Gbdt]. *)
+      database override, shared pool, a fresh [Model.Gbdt]. *)
   val default : t
 
   val with_seed : int -> t -> t
@@ -67,7 +64,6 @@ module Config : sig
   val with_sketches : Sketch.t list -> t -> t
   val with_database : Database.t -> t -> t
   val with_jobs : int -> t -> t
-  val with_retry : Tir_parallel.Retry.policy -> t -> t
   val with_model : Model.spec -> t -> t
 end
 

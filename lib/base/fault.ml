@@ -2,11 +2,10 @@
     (seed, site, key), never a stateful RNG, so the failure schedule does
     not depend on job counts, interleaving, or process boundaries. *)
 
-type site = Measure | Pool_task | Db_write
+type site = Measure | Db_write
 
 let site_name = function
   | Measure -> "measure"
-  | Pool_task -> "pool"
   | Db_write -> "db"
 
 exception Injected of { site : site; key : string }
@@ -33,7 +32,7 @@ let of_env () =
   | Some s -> (
       match parse_env (String.trim s) with
       | Some (rate, seed) when rate > 0.0 ->
-          Some { rate; seed; sites = [ Measure; Pool_task; Db_write ] }
+          Some { rate; seed; sites = [ Measure; Db_write ] }
       | _ -> None)
 
 let current () =
@@ -45,7 +44,7 @@ let current () =
       Atomic.set state (Some c);
       c
 
-let set ?(sites = [ Measure; Pool_task; Db_write ]) ~rate ~seed () =
+let set ?(sites = [ Measure; Db_write ]) ~rate ~seed () =
   let rate = Float.max 0.0 (Float.min 1.0 rate) in
   Atomic.set state (Some (if rate > 0.0 then Some { rate; seed; sites } else None))
 

@@ -16,19 +16,15 @@
 
     - {!Measure}: simulator measurements ([Tir_sim.Machine.measure_us]);
       exhausted retries degrade the candidate to "unmeasurable".
-    - {!Pool_task}: parallel pool tasks ([Tir_parallel.Pool]); injected
-      failures are absorbed by bounded retries in the pool itself.
     - {!Db_write}: database/WAL line writes; exhausted retries raise
       [Error.Error] with kind [Fault]. *)
 
-type site = Measure | Pool_task | Db_write
-
-val site_name : site -> string
+type site = Measure | Db_write
 
 exception Injected of { site : site; key : string }
 
 (** Enable injection programmatically (overrides [TIR_FAULTS]). [sites]
-    defaults to all three. [rate] is clamped to [0, 1]. *)
+    defaults to both. [rate] is clamped to [0, 1]. *)
 val set : ?sites:site list -> rate:float -> seed:int -> unit -> unit
 
 (** Disable injection, including any [TIR_FAULTS] configuration. *)
@@ -41,11 +37,8 @@ val enabled : site -> bool
 (** The configured (rate, seed), if any. *)
 val config : unit -> (float * int) option
 
-(** Pure failure decision for (site, key) under the current config;
-    [false] when unconfigured. *)
-val should_fail : site -> key:string -> bool
-
-(** Raise {!Injected} iff [should_fail]. *)
+(** Raise {!Injected} when the pure failure decision for (site, key)
+    under the current config says so; never when unconfigured. *)
 val maybe_fail : site -> key:string -> unit
 
 (** Parse a [TIR_FAULTS] value ("<rate>:<seed>", e.g. "0.2:42"). *)

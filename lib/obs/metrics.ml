@@ -218,3 +218,27 @@ let snapshot_json (s : snapshot) =
     s.histograms;
   Buffer.add_char b '}';
   Buffer.contents b
+
+(** Inverse of {!snapshot_json}; a [null] gauge reads back as NaN. *)
+let snapshot_of_json text =
+  let module J = Json_min in
+  let top = J.obj "metrics" (J.parse text) in
+  let map name read =
+    List.map
+      (fun (k, v) -> (k, read (name ^ "." ^ k) v))
+      (J.obj name (J.field "metrics" top name))
+  in
+  let array read what v = Array.of_list (List.map (read what) (J.arr what v)) in
+  {
+    counters = map "counters" J.int_;
+    gauges =
+      map "gauges" (fun what -> function J.Null -> Float.nan | v -> J.num what v);
+    histograms =
+      map "histograms" (fun what v ->
+          let h = J.obj what v in
+          {
+            le = array J.num what (J.field what h "le");
+            counts = array J.int_ what (J.field what h "counts");
+            total = J.int_ what (J.field what h "total");
+          });
+  }

@@ -61,3 +61,8 @@ val reset : unit -> unit
     name, non-finite gauges as [null] — the scrape payload behind
     [tensorir serve --metrics-out]. *)
 val snapshot_json : snapshot -> string
+
+(** Inverse of {!snapshot_json}: [snapshot_json (snapshot_of_json j) = j]
+    for every [j] it wrote. A [null] gauge reads back as NaN. Raises
+    [Json_min.Invalid] on anything else. *)
+val snapshot_of_json : string -> snapshot

@@ -47,11 +47,6 @@ type t = {
   mutable finished : int;  (** workers done with the current region *)
   mutable shutdown : bool;
   mutable domains : unit Domain.t list;
-  submitted : int Atomic.t;
-      (** logical region counter, bumped on every [parallel_iteri] call on
-          any code path (including the jobs=1 and nested sequential
-          fallbacks) — the basis of job-count-independent fault-injection
-          keys *)
 }
 
 let max_jobs = 64
@@ -125,7 +120,6 @@ let create ?jobs () =
       finished = 0;
       shutdown = false;
       domains = [];
-      submitted = Atomic.make 0;
     }
   in
   if jobs > 1 then
@@ -236,21 +230,6 @@ let parallel_iteri t n (f : int -> unit) =
   Tir_obs.Metrics.incr m_regions;
   Tir_obs.Metrics.add m_tasks n;
   Tir_obs.Metrics.observe m_region_size (float_of_int n);
-  (* The logical region id is bumped on every code path (jobs=1, nested,
-     parallel), so fault keys below depend only on the sequence of regions
-     submitted — never on the job count. *)
-  let region_id = Atomic.fetch_and_add t.submitted 1 in
-  let task =
-    if not (Tir_core.Fault.enabled Tir_core.Fault.Pool_task) then f
-    else fun i ->
-      (* Inject *before* running [f]: injected failures are absorbed by
-         bounded retries and the task then runs exactly once, so pool
-         faults perturb the metrics, never the results. *)
-      ignore
-        (Retry.absorb ~site:Tir_core.Fault.Pool_task
-           ~key:(Printf.sprintf "r%d:%d" region_id i) ());
-      f i
-  in
   (* Capture the submitter's trace context here and install it in the
      execution loop: tasks that land on worker domains keep the
      submitting tenant/session/generation identity, and the event
@@ -273,7 +252,7 @@ let parallel_iteri t n (f : int -> unit) =
       (fun () ->
         Tir_obs.Trace.with_span "pool.task"
           ~args:[ ("i", string_of_int i) ]
-          (fun () -> task i))
+          (fun () -> f i))
   in
   if t.jobs = 1 || n = 1 || Domain.DLS.get in_region then
     Fun.protect

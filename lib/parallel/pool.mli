@@ -55,12 +55,6 @@ val shutdown : t -> unit
     smallest failing index is re-raised in the caller after the region
     drains.
 
-    When fault injection is configured for the [Pool_task] site
-    ([Tir_core.Fault]), each task absorbs its injected failures through
-    bounded retries ({!Retry.absorb}) before running — keyed by a logical
-    region counter and the task index, so the failure schedule is
-    identical at any job count. Tasks still run exactly once.
-
     Safe under concurrency: the pool runs one region at a time, so
     concurrent callers (e.g. two searches sharing [global ()]) queue up
     rather than corrupting each other's region, and a nested call from

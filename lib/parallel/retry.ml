@@ -1,29 +1,12 @@
-(** Bounded retries with deterministic (simulated) exponential backoff.
-    See the interface for the contract. *)
+(** Bounded retries of operations that fail under fault injection. See
+    the interface for the contract. *)
 
 module Fault = Tir_core.Fault
 module Metrics = Tir_obs.Metrics
 
-type policy = {
-  max_attempts : int;
-  backoff_base_us : float;
-  backoff_mult : float;
-  timeout_us : float;
-}
-
-let default =
-  {
-    max_attempts = 4;
-    backoff_base_us = 1_000.0;
-    backoff_mult = 2.0;
-    timeout_us = Float.infinity;
-  }
+let max_attempts = 4
 
 exception Exhausted of { site : string; key : string; attempts : int }
-
-let backoff_us policy ~attempt =
-  if attempt <= 1 then 0.0
-  else policy.backoff_base_us *. (policy.backoff_mult ** float_of_int (attempt - 2))
 
 (* Registry handles are find-or-create; site names are a tiny fixed set so
    per-call lookup is negligible next to the work being retried. *)
@@ -31,11 +14,6 @@ let m_attempts site = Metrics.counter ("retry." ^ site ^ ".attempts")
 let m_failures site = Metrics.counter ("retry." ^ site ^ ".failures")
 let m_exhausted site = Metrics.counter ("retry." ^ site ^ ".exhausted")
 let m_injected site = Metrics.counter ("fault." ^ site ^ ".injected")
-let m_backoff = Metrics.counter "retry.backoff_us"
-
-let note_backoff policy ~attempt =
-  let b = backoff_us policy ~attempt in
-  if b > 0.0 then Metrics.add m_backoff (int_of_float b)
 
 (* Trace instants only on the failure paths (injection / exhaustion):
    fault decisions are keyed hashes, so these events are deterministic at
@@ -48,11 +26,9 @@ let trace_exhausted ~site ~key ~attempts =
   Tir_obs.Trace.instant "retry.exhausted"
     ~args:[ ("site", site); ("key", key); ("attempts", string_of_int attempts) ]
 
-let with_retries ?(policy = default) ~site ~key f =
-  let max_attempts = max 1 policy.max_attempts in
+let with_retries ~site ~key f =
   let rec go attempt =
     Metrics.incr (m_attempts site);
-    note_backoff policy ~attempt;
     match f ~attempt with
     | v -> v
     | exception Fault.Injected _ ->
@@ -67,32 +43,6 @@ let with_retries ?(policy = default) ~site ~key f =
         else go (attempt + 1)
   in
   go 1
-
-let absorb ?(policy = default) ~site ~key () =
-  if not (Fault.enabled site) then 0
-  else begin
-    let name = Fault.site_name site in
-    let max_attempts = max 1 policy.max_attempts in
-    let rec go attempt failures =
-      Metrics.incr (m_attempts name);
-      note_backoff policy ~attempt;
-      if Fault.should_fail site ~key:(Printf.sprintf "%s@%d" key attempt) then begin
-        Metrics.incr (m_failures name);
-        Metrics.incr (m_injected name);
-        trace_injected ~site:name ~key ~attempt;
-        if attempt >= max_attempts then begin
-          (* Graceful degradation: the operation proceeds anyway — the pool
-             must run every task exactly once. *)
-          Metrics.incr (m_exhausted name);
-          trace_exhausted ~site:name ~key ~attempts:attempt;
-          failures + 1
-        end
-        else go (attempt + 1) (failures + 1)
-      end
-      else failures
-    in
-    go 1 0
-  end
 
 let () =
   Printexc.register_printer (function

@@ -1,55 +1,27 @@
-(** Bounded retries with deterministic exponential backoff.
+(** Bounded retries of operations that fail under fault injection.
 
-    The policy that makes the tuning pipeline survive flaky measurements:
-    an operation that raises [Tir_core.Fault.Injected] is retried up to
-    [max_attempts] times; the attempt number is appended to the fault key
-    by the caller, so each attempt draws an independent (but fully
-    deterministic) failure decision. Backoff is {e simulated}: the delay
-    that a real fleet would sleep is accumulated in the
-    [retry.backoff_us] counter instead of wall-clock sleeping, which
-    keeps tests fast and — because the schedule is a pure function of the
-    attempt number — bit-identical at any job count.
+    An operation that raises [Tir_core.Fault.Injected] is retried up to
+    {!max_attempts} times; the caller appends the attempt number to the
+    fault key, so each attempt draws an independent (but fully
+    deterministic) failure decision. Nothing sleeps between attempts:
+    the simulator has no transient failure for a delay to outlast.
 
     Non-injected exceptions are never retried; they propagate on the
     first raise.
 
     Metrics (per site name): [retry.<site>.attempts] (every attempt),
     [retry.<site>.failures] (injected failures absorbed),
-    [retry.<site>.exhausted] (operations that failed every attempt),
-    [fault.<site>.injected] (same as failures, under the fault namespace)
-    and the shared [retry.backoff_us]. *)
+    [retry.<site>.exhausted] (operations that failed every attempt) and
+    [fault.<site>.injected] (same as failures, under the fault
+    namespace). *)
 
-type policy = {
-  max_attempts : int;  (** total attempts, >= 1 *)
-  backoff_base_us : float;  (** simulated delay after the first failure *)
-  backoff_mult : float;  (** exponential growth per further failure *)
-  timeout_us : float;
-      (** per-candidate measurement budget: a simulated latency above this
-          is treated as a measurement timeout (the candidate is scored
-          unmeasurable). [infinity] disables the budget. *)
-}
-
-(** 4 attempts, 1 ms base backoff doubling per failure, no timeout. *)
-val default : policy
+(** Total attempts per operation: 4. *)
+val max_attempts : int
 
 (** Raised when every attempt failed with an injected fault. *)
 exception Exhausted of { site : string; key : string; attempts : int }
 
-(** Deterministic simulated backoff before attempt [attempt] (1-based;
-    attempt 1 has no backoff). *)
-val backoff_us : policy -> attempt:int -> float
-
-(** [with_retries ~policy ~site ~key f] runs [f ~attempt] (1-based),
-    retrying on [Tir_core.Fault.Injected] up to [policy.max_attempts]
-    attempts, then raises {!Exhausted}. Other exceptions propagate
-    immediately. *)
-val with_retries :
-  ?policy:policy -> site:string -> key:string -> (attempt:int -> 'a) -> 'a
-
-(** [absorb ~policy ~site ~key] exercises the injection/retry accounting
-    without wrapping a computation: it draws the per-attempt failure
-    decisions for (site, key), counts the injected failures and simulated
-    backoff, and always returns (bounded graceful degradation — used by
-    the pool, whose tasks must run exactly once). Returns the number of
-    injected failures absorbed. *)
-val absorb : ?policy:policy -> site:Tir_core.Fault.site -> key:string -> unit -> int
+(** [with_retries ~site ~key f] runs [f ~attempt] (1-based), retrying on
+    [Tir_core.Fault.Injected] up to {!max_attempts} attempts, then raises
+    {!Exhausted}. Other exceptions propagate immediately. *)
+val with_retries : site:string -> key:string -> (attempt:int -> 'a) -> 'a

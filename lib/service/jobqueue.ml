@@ -196,19 +196,9 @@ let mkdir_p path =
 let ensure_queue queue =
   List.iter (fun st -> mkdir_p (dir queue st)) [ Pending; Running; Done; Failed ]
 
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> s
-  | exception Sys_error m -> Error.raise_error ~context:path Error.Io m
-
-(* Atomic publish: write a temporary in the destination directory, then
-   rename — a reader never sees a half-written file. *)
+(* Atomic publish: a reader never sees a half-written file. *)
 let write_file_atomic path content =
-  let tmp = path ^ ".tmp" in
-  (try Out_channel.with_open_bin tmp (fun oc ->
-       Out_channel.output_string oc content)
-   with Sys_error m -> Error.raise_error ~context:path Error.Io m);
-  Sys.rename tmp path
+  Tir_core.File.write_atomic path (fun oc -> output_string oc content)
 
 let move src dst =
   match Sys.rename src dst with
@@ -250,7 +240,7 @@ let list_jobs ~queue =
 
 (* Parsed key=value file (results and diagnostics share the format). *)
 let read_kv path =
-  read_file path |> String.split_on_char '\n'
+  Tir_core.File.read path |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          let line = String.trim line in
          if line = "" || line.[0] = '#' then None
@@ -280,9 +270,6 @@ type config = {
       (** dump the registry as JSON here (atomic rewrite) on every
           scheduler event, after every scheduler run, and on every idle
           poll tick — external scrapers always see live data *)
-  telemetry_out : string option;
-      (** Prometheus-style text exposition, same cadence and atomicity
-          as [metrics_out]; the file [tensorir top] reads *)
   trace_out : string option;
       (** enable causal tracing and snapshot the Chrome trace-event JSON
           here, same cadence and atomicity as [metrics_out] *)
@@ -298,7 +285,6 @@ let default_config queue =
     drain = true;
     max_steps = None;
     metrics_out = None;
-    telemetry_out = None;
     trace_out = None;
     poll_interval_s = 0.2;
   }
@@ -330,22 +316,12 @@ let sample_queue_depth queue =
    every scheduler event, after every scheduler run, and on every idle
    poll tick. *)
 let dump_metrics cfg =
-  if cfg.metrics_out <> None || cfg.telemetry_out <> None || cfg.trace_out <> None
-  then sample_queue_depth cfg.queue;
-  let snap =
-    if cfg.metrics_out <> None || cfg.telemetry_out <> None then
-      Some (Metrics.snapshot ())
-    else None
-  in
+  if cfg.metrics_out <> None || cfg.trace_out <> None then
+    sample_queue_depth cfg.queue;
   Option.iter
     (fun path ->
-      write_file_atomic path
-        (Metrics.snapshot_json (Option.get snap) ^ "\n"))
+      write_file_atomic path (Metrics.snapshot_json (Metrics.snapshot ()) ^ "\n"))
     cfg.metrics_out;
-  Option.iter
-    (fun path ->
-      write_file_atomic path (Tir_obs.Telemetry.render (Option.get snap)))
-    cfg.telemetry_out;
   Option.iter
     (fun path -> write_file_atomic path (Tir_obs.Trace.export_chrome ()))
     cfg.trace_out
@@ -480,7 +456,7 @@ let serve (cfg : config) : outcome =
      ones). *)
   let enqueue ~st name =
     match
-      let j = parse_job ~name (read_file (job_file queue st name)) in
+      let j = parse_job ~name (Tir_core.File.read (job_file queue st name)) in
       let target, w = resolve ~name j in
       if Hashtbl.mem jobs_tbl name then
         Error.raise_error ~context:name Error.Io "duplicate job name";

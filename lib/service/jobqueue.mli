@@ -111,10 +111,7 @@ type config = {
   metrics_out : string option;
       (** dump {!Tir_obs.Metrics.snapshot_json} here (atomic tmp+rename)
           on every scheduler event, after every scheduler run, and on
-          every idle poll tick *)
-  telemetry_out : string option;
-      (** {!Tir_obs.Telemetry.render} exposition, same cadence and
-          atomicity — the snapshot [tensorir top] reads *)
+          every idle poll tick — the snapshot [tensorir top] reads *)
   trace_out : string option;
       (** enable {!Tir_obs.Trace} and snapshot the Chrome trace-event
           JSON here, same cadence and atomicity *)

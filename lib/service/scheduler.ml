@@ -56,6 +56,8 @@ type tenant = {
   tn_m_rank : Metrics.gauge;
   tn_m_stalled : Metrics.gauge;
   tn_stall : Stall.t;
+      (** declared stalled after [Stall.default_threshold] generations
+          without an improvement in best-µs *)
 }
 
 type t = {
@@ -71,14 +73,6 @@ let m_steps = Metrics.counter "scheduler.steps"
 let m_active = Metrics.gauge "scheduler.active_tenants"
 let m_stalled = Metrics.counter "search.stalled"
 let m_stalled_tenants = Metrics.gauge "search.stalled_tenants"
-
-(* Generations without an improvement in best-µs before a tenant is
-   declared stalled (the [search.stalled] event + per-tenant gauge —
-   direct input to the cost-model diagnosis). *)
-let stall_threshold () =
-  match Option.bind (Sys.getenv_opt "TIR_STALL_GENS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> Stall.default_threshold
 
 let create ?pool () =
   let sch_pool = match pool with Some p -> p | None -> Pool.global () in
@@ -104,7 +98,7 @@ let submit ?(priority = 1) t ~name session =
       tn_m_best = Metrics.gauge ("tenant." ^ name ^ ".best_us");
       tn_m_rank = Metrics.gauge ("tenant." ^ name ^ ".rank_corr");
       tn_m_stalled = Metrics.gauge ("tenant." ^ name ^ ".stalled");
-      tn_stall = Stall.create ~threshold:(stall_threshold ()) ();
+      tn_stall = Stall.create ();
     }
   in
   Metrics.incr m_submitted;

@@ -401,7 +401,7 @@ let compact_parsed ~path (p : parsed) =
 
 let compact ~path = compact_parsed ~path (parse ~path)
 
-let resume ?workload ?jobs ?database ?retry ~path () =
+let resume ?workload ?jobs ?database ~path () =
   Tir_obs.Trace.with_span "session.resume" (fun () ->
       Metrics.incr m_resumes;
       let p = parse ~path in
@@ -436,7 +436,6 @@ let resume ?workload ?jobs ?database ?retry ~path () =
           model = p.p_model;
           jobs;
           database;
-          retry = Option.value retry ~default:Tune.Config.default.Tune.Config.retry;
         }
       in
       Metrics.add m_discarded p.p_discarded;
@@ -478,9 +477,6 @@ let reconstruct_result t (stats, _best_us, best_raw) : Tune.result =
   stats.Evo.best_curve <-
     curve_of_latencies (List.map (fun rm -> rm.rm_latency) t.s_measured_raw);
   { Tune.workload = t.s_w; target = t.s_target; best; stats; model = None }
-
-let env_halt_after () =
-  Option.bind (Sys.getenv_opt "TIR_HALT_AFTER_GEN") int_of_string_opt
 
 (* --- stepping ----------------------------------------------------------- *)
 
@@ -596,9 +592,6 @@ let run ?halt_after t : Tune.result =
   match t.s_done with
   | Some d -> reconstruct_result t d
   | None ->
-      let halt_after =
-        match halt_after with Some h -> Some h | None -> env_halt_after ()
-      in
       Tir_obs.Trace.with_span "session.run" (fun () ->
           let st = start t in
           let rec drive () =

@@ -43,10 +43,9 @@ module Tune = Tir_autosched.Tune
 
 type t
 
-(** Raised by {!run} when [halt_after] (or [TIR_HALT_AFTER_GEN])
-    generations completed this run — the WAL is flushed and committed
-    through generation [gen], and the process can exit; a later
-    {!resume} continues the search. *)
+(** Raised by {!run} when [halt_after] generations completed this run —
+    the WAL is flushed and committed through generation [gen], and the
+    process can exit; a later {!resume} continues the search. *)
 exception Halted of { path : string; gen : int }
 
 (** Start a fresh session logging to [path]. Fails with an [Io] error if
@@ -59,9 +58,9 @@ val create : ?force:bool -> path:string -> Tune.Config.t -> W.t -> Tir_sim.Targe
     budget and search flags come from the [meta] record; [workload]
     must be passed explicitly for non-default shapes (the default
     reconstruction goes through [W.by_tag] and is verified against the
-    stored name). [jobs]/[database]/[retry] re-attach the
-    non-serializable configuration. Discards uncommitted records and
-    compacts the log atomically before reopening it for append.
+    stored name). [jobs]/[database] re-attach the non-serializable
+    configuration. Discards uncommitted records and compacts the log
+    atomically before reopening it for append.
 
     Raises [Tir_core.Error.Error] — [Corrupt] for a malformed or
     inconsistent log, [Io] for filesystem failures. *)
@@ -69,7 +68,6 @@ val resume :
   ?workload:W.t ->
   ?jobs:int ->
   ?database:Tir_autosched.Database.t ->
-  ?retry:Tir_parallel.Retry.policy ->
   path:string ->
   unit ->
   t
@@ -77,9 +75,8 @@ val resume :
 (** Run (or continue) the session's tuning search to completion, append
     the [done] record, and return the result. On an already-completed
     session the stored result is reconstructed from the log without any
-    search. [halt_after] (default [TIR_HALT_AFTER_GEN] from the
-    environment) stops after that many generations committed {e in this
-    run} by raising {!Halted}. *)
+    search. [halt_after] stops after that many generations committed
+    {e in this run} by raising {!Halted}. *)
 val run : ?halt_after:int -> t -> Tune.result
 
 (** A session being driven one generation at a time — the scheduler's

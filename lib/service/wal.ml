@@ -45,18 +45,10 @@ let close w =
     close_out w.oc
   end
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let read ~path =
   if not (Sys.file_exists path) then ([], None)
   else begin
-    let content = try read_file path with Sys_error msg ->
-      Error.raise_error ~context:path Error.Io msg
-    in
+    let content = Tir_core.File.read path in
     let len = String.length content in
     if len = 0 then ([], None)
     else begin
@@ -79,18 +71,10 @@ let read ~path =
   end
 
 let rewrite ~path records =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     List.iter
-       (fun line ->
-         output_string oc line;
-         output_char oc '\n')
-       records;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path;
+  Tir_core.File.write_atomic path (fun oc ->
+      List.iter
+        (fun line ->
+          output_string oc line;
+          output_char oc '\n')
+        records);
   Metrics.incr m_rewrites

@@ -12,10 +12,10 @@
     Appends run under the fault-injection harness (site [Db_write] of
     [Tir_core.Fault]), keyed by the record's absolute line index — a pure
     function of the log's content, so injected WAL failures reproduce
-    across resumed processes. Injected failures retry with deterministic
-    backoff; exhaustion raises [Tir_core.Error.Error] with kind [Fault]
-    {e before} anything is written (a failed append never tears the
-    file).
+    across resumed processes. Injected failures are retried
+    ([Tir_parallel.Retry]); exhaustion raises [Tir_core.Error.Error] with
+    kind [Fault] {e before} anything is written (a failed append never
+    tears the file).
 
     Metrics: [wal.appends], [wal.rewrites], [wal.torn_tail]. *)
 
@@ -40,6 +40,6 @@ val close : writer -> unit
     terminated file). A missing file reads as [([], None)]. *)
 val read : path:string -> string list * string option
 
-(** Atomically replace the log with exactly [records] (write to
-    [path ^ ".tmp"], rename into place). *)
+(** Atomically replace the log with exactly [records]
+    ([Tir_core.File.write_atomic]). *)
 val rewrite : path:string -> string list -> unit

@@ -1,7 +1,7 @@
 (** The cost model: rank-trained GBDT quality (Spearman on synthetic
     data, rank loss vs least-squares on mixed latency scales), the
     untrained prior, bit-identical save/load, spec round-trips, and the
-    warm-start store. *)
+    warm-start store and its failure on a full disk. *)
 
 module Model = Tir_autosched.Model
 module Gbdt = Tir_autosched.Gbdt
@@ -367,6 +367,33 @@ let test_warm_spec_restores_model () =
   Alcotest.(check string) "fresh gbdt spec" (Model.save (Model.gbdt ()))
     (Model.save (Model.of_spec Model.Gbdt))
 
+(* A failed final write is reported, never published: with the temporary
+   pointing at /dev/full every write fails, so each save must raise [Io],
+   keep the old file and leave no temporary behind. *)
+let test_full_disk_save_raises () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  with_tmp_dir @@ fun dir ->
+  let check_save name file save =
+    let path = Filename.concat dir file in
+    let old = "previous contents\n" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc old);
+    Unix.symlink "/dev/full" (path ^ ".tmp");
+    (match save path with
+    | () -> Alcotest.failf "%s: save on a full disk returned" name
+    | exception Tir_core.Error.Error e ->
+        Alcotest.(check string) (name ^ ": io error") "io"
+          (Tir_core.Error.kind_name e.Tir_core.Error.kind));
+    Alcotest.(check string) (name ^ ": old file kept") old
+      (In_channel.with_open_bin path In_channel.input_all);
+    Alcotest.(check bool) (name ^ ": temporary removed") false
+      (Sys.file_exists (path ^ ".tmp"))
+  in
+  let m = Model.gbdt () in
+  Model.add m ~group:"A" ~features:(feat 1.0) ~latency_us:10.0;
+  check_save "model store" "model.txt" (fun path -> Model.Store.save ~path m);
+  let db = Tir_autosched.Database.create () in
+  check_save "database" "db.txt" (Tir_autosched.Database.save db)
+
 let suite =
   [
     Alcotest.test_case "monotone data: spearman > 0.9" `Quick
@@ -386,4 +413,6 @@ let suite =
       test_store_absorb_accumulates;
     Alcotest.test_case "warm spec restores the snapshot" `Quick
       test_warm_spec_restores_model;
+    Alcotest.test_case "save on a full disk raises, keeps the old file" `Quick
+      test_full_disk_save_raises;
   ]

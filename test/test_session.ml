@@ -386,15 +386,24 @@ let test_retry_exhaustion_never_commits () =
   Alcotest.(check bool) "healthy run commits" true
     (Tir_autosched.Database.size db > 0)
 
-let test_backoff_deterministic () =
-  let p = Retry.default in
-  Alcotest.(check (float 0.0)) "first attempt immediate" 0.0
-    (Retry.backoff_us p ~attempt:1);
-  Alcotest.(check (float 0.0)) "second attempt base" p.Retry.backoff_base_us
-    (Retry.backoff_us p ~attempt:2);
-  Alcotest.(check (float 0.0)) "third attempt doubled"
-    (p.Retry.backoff_base_us *. p.Retry.backoff_mult)
-    (Retry.backoff_us p ~attempt:3)
+(* Every attempt fails: [with_retries] calls exactly [max_attempts]
+   times, numbering the attempts from 1, then gives up. *)
+let test_retries_bounded () =
+  Fault.set ~sites:[ Fault.Db_write ] ~rate:1.0 ~seed:7 ();
+  let attempts = ref [] in
+  let outcome =
+    Fun.protect ~finally:Fault.clear (fun () ->
+        match
+          Retry.with_retries ~site:"test" ~key:"k" (fun ~attempt ->
+              attempts := attempt :: !attempts;
+              Fault.maybe_fail Fault.Db_write ~key:(Printf.sprintf "k@%d" attempt))
+        with
+        | () -> None
+        | exception Retry.Exhausted { attempts; _ } -> Some attempts)
+  in
+  Alcotest.(check (list int)) "attempts 1..4" [ 1; 2; 3; 4 ] (List.rev !attempts);
+  Alcotest.(check (option int)) "then Exhausted after max_attempts"
+    (Some Retry.max_attempts) outcome
 
 let suite =
   [
@@ -413,5 +422,5 @@ let suite =
     ("fault injection deterministic across jobs", `Quick, test_fault_injection_deterministic_across_jobs);
     ("TIR_FAULTS parsing", `Quick, test_fault_env_parse);
     ("retry exhaustion never commits", `Quick, test_retry_exhaustion_never_commits);
-    ("deterministic exponential backoff", `Quick, test_backoff_deterministic);
+    ("bounded retries, then Exhausted", `Quick, test_retries_bounded);
   ]

@@ -1,12 +1,11 @@
 (* Causal tracing layer: context propagation, span nesting, the
    determinism contract (bit-identical event identities at jobs=1 and
    jobs=4), both export formats and their validators, the stall
-   watchdog, the telemetry exposition, and the analysis diagnostic
-   counters. *)
+   watchdog, the metrics snapshot round trip, and the analysis
+   diagnostic counters. *)
 
 module Trace = Tir_obs.Trace
 module Stall = Tir_obs.Stall
-module Telemetry = Tir_obs.Telemetry
 module Metrics = Tir_obs.Metrics
 module W = Tir_workloads.Workloads
 
@@ -177,27 +176,27 @@ let test_stall_threshold_edges () =
   Alcotest.(check int) "threshold clamped" 1
     (Stall.threshold (Stall.create ~threshold:0 ()))
 
-(* --- telemetry exposition --- *)
+(* --- metrics snapshot JSON --- *)
 
-let test_telemetry_roundtrip () =
+let test_snapshot_json_roundtrip () =
   Metrics.reset ();
   Metrics.add (Metrics.counter "test.tm.requests") 42;
-  Metrics.set (Metrics.gauge "tenant.alice.best_us") 12.5;
   Metrics.set (Metrics.gauge "tenant.bob.2.best_us") 7.0;
+  Metrics.set (Metrics.gauge "test.tm.undefined") Float.nan;
   Metrics.observe (Metrics.histogram "test.tm.lat") 3.0;
-  let text = Telemetry.render (Metrics.snapshot ()) in
-  let samples = Telemetry.parse text in
-  Alcotest.(check (option (float 0.0))) "counter survives" (Some 42.0)
-    (Telemetry.find samples "tir_test_tm_requests");
-  Alcotest.(check (list string)) "tenants found (dots allowed)"
-    [ "alice"; "bob.2" ] (Telemetry.tenants samples);
-  Alcotest.(check (option (float 0.0))) "tenant gauge" (Some 12.5)
-    (Telemetry.tenant_value samples "best_us" "alice");
+  let j = Metrics.snapshot_json (Metrics.snapshot ()) in
+  let s = Metrics.snapshot_of_json j in
+  Alcotest.(check (option int)) "counter survives" (Some 42)
+    (Metrics.find_counter s "test.tm.requests");
   Alcotest.(check (option (float 0.0))) "dotted tenant gauge" (Some 7.0)
-    (Telemetry.tenant_value samples "best_us" "bob.2");
-  (* histograms parse back as cumulative buckets plus a count *)
-  Alcotest.(check (option (float 0.0))) "histogram count" (Some 1.0)
-    (Telemetry.find samples "tir_test_tm_lat_count");
+    (Metrics.find_gauge s "tenant.bob.2.best_us");
+  (* JSON has no NaN: the gauge can only read back as NaN from [null] *)
+  Alcotest.(check bool) "NaN gauge written as null, read back as NaN" true
+    (Float.is_nan (Option.get (Metrics.find_gauge s "test.tm.undefined")));
+  Alcotest.(check (option int)) "histogram total" (Some 1)
+    (Option.map (fun h -> h.Metrics.total) (List.assoc_opt "test.tm.lat" s.Metrics.histograms));
+  Alcotest.(check string) "snapshot_json inverts snapshot_of_json" j
+    (Metrics.snapshot_json s);
   Metrics.reset ()
 
 (* --- analysis counters (flagged vs warned vs diagnostics) --- *)
@@ -243,8 +242,8 @@ let suite =
     Alcotest.test_case "chrome: validator rejects bad traces" `Quick
       test_chrome_validator_rejects;
     Alcotest.test_case "stall: threshold edges" `Quick test_stall_threshold_edges;
-    Alcotest.test_case "telemetry: render/parse roundtrip" `Quick
-      test_telemetry_roundtrip;
+    Alcotest.test_case "metrics: snapshot JSON roundtrip" `Quick
+      test_snapshot_json_roundtrip;
     Alcotest.test_case "analysis: flagged/warned/diagnostics" `Quick
       test_analysis_counters;
   ]
