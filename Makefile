@@ -68,8 +68,9 @@ crash-smoke: build
 # priorities are submitted to a queue directory; a serve killed at a step
 # budget must exit 8 and leave resumable work in running/; a second serve
 # must drain the queue; a re-submitted workload must complete via a
-# cross-tenant database replay; and a malformed job must dead-letter to
-# failed/ with a diagnostic rather than wedge the server.
+# cross-tenant database replay, which `tensorir top` must show as
+# finished with no tenant left running; and a malformed job must
+# dead-letter to failed/ with a diagnostic rather than wedge the server.
 serve-smoke: build
 	rm -rf /tmp/tir_serve_smoke
 	dune exec bin/tensorir_cli.exe -- submit --queue /tmp/tir_serve_smoke \
@@ -97,6 +98,10 @@ serve-smoke: build
 	grep -q '"db.replayed":[1-9]' /tmp/tir_serve_smoke/metrics.json
 	dune exec bin/tensorir_cli.exe -- jobs --queue /tmp/tir_serve_smoke \
 	  | grep -q "gmm-replay.*done"
+	dune exec bin/tensorir_cli.exe -- top /tmp/tir_serve_smoke/metrics.json \
+	  > /tmp/tir_serve_smoke/top.txt
+	grep -q "^gmm-replay .*  finished$$" /tmp/tir_serve_smoke/top.txt
+	! grep -q "  running$$" /tmp/tir_serve_smoke/top.txt
 	rm -rf /tmp/tir_serve_smoke
 
 # Observability smoke test: a short serve run with tracing and a metrics
@@ -104,8 +109,9 @@ serve-smoke: build
 # JSON, monotone timestamps, tenant/job context on every event) that
 # `tensorir report` can summarize, and a metrics snapshot that
 # `tensorir top` can render, with a row and a finite best for the job
-# whose name holds a dot. A traced tune must produce a validating trace
-# whose report shows a non-empty, monotone search summary.
+# whose name holds a dot, and both drained jobs shown as finished. A
+# traced tune must produce a validating trace whose report shows a
+# non-empty, monotone search summary.
 trace-smoke: build
 	rm -rf /tmp/tir_trace_smoke
 	dune exec bin/tensorir_cli.exe -- submit --queue /tmp/tir_trace_smoke \
@@ -121,8 +127,9 @@ trace-smoke: build
 	dune exec bin/tensorir_cli.exe -- top /tmp/tir_trace_smoke/metrics.json \
 	  > /tmp/tir_trace_smoke/top.txt
 	grep -q "queue:" /tmp/tir_trace_smoke/top.txt
-	grep -Eq "^gmm\.smoke +[0-9]+ +[0-9]+ +[0-9]+\.[0-9]+  " \
+	grep -Eq "^gmm\.smoke +[0-9]+ +[0-9]+ +[0-9]+\.[0-9]+  finished$$" \
 	  /tmp/tir_trace_smoke/top.txt
+	test $$(grep -c "  finished$$" /tmp/tir_trace_smoke/top.txt) -eq 2
 	dune exec bin/tensorir_cli.exe -- tune GMM --trials 16 \
 	  --trace-out /tmp/tir_trace_smoke/tune.json
 	dune exec tools/validate_trace.exe /tmp/tir_trace_smoke/tune.json

@@ -885,9 +885,15 @@ let top_cmd =
               let b = gauge (m "best_us") in
               if Float.is_finite b then Printf.sprintf "%.2f" b else "-"
             in
-            let state = if gauge (m "stalled") > 0.0 then "stalled" else "running" in
-            Fmt.pr "%-28s %6d %6d %12s  %s@." tn (count (m "generations"))
-              (count (m "steps")) best state)
+            let gens = count (m "generations") and steps = count (m "steps") in
+            (* A tenant's last step ([Done], or a classified error) is the
+               only one that is not a generation. *)
+            let state =
+              if steps > gens then "finished"
+              else if gauge (m "stalled") > 0.0 then "stalled"
+              else "running"
+            in
+            Fmt.pr "%-28s %6d %6d %12s  %s@." tn gens steps best state)
           tenants
   in
   let file_arg =
@@ -898,7 +904,7 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Render a serve metrics snapshot: queue depth, pool utilization, \
-          per-tenant progress and stall state")
+          per-tenant progress and state (running, stalled or finished)")
     Term.(const run $ file_arg)
 
 let jobs_cmd =

@@ -27,10 +27,13 @@ let exit_code = function
   | Corrupt -> 5
   | Fault -> 7
 
+(* An OS message ([Sys_error]) already starts with the path it is about,
+   which is also the usual context: name it once. *)
 let to_string e =
   match e.context with
-  | Some c -> Printf.sprintf "%s error: %s: %s" (kind_name e.kind) c e.message
-  | None -> Printf.sprintf "%s error: %s" (kind_name e.kind) e.message
+  | Some c when not (String.starts_with ~prefix:(c ^ ": ") e.message) ->
+      Printf.sprintf "%s error: %s: %s" (kind_name e.kind) c e.message
+  | _ -> Printf.sprintf "%s error: %s" (kind_name e.kind) e.message
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)
 

@@ -38,6 +38,8 @@ val kind_name : kind -> string
     (0 = success, 1 = findings, 2 = usage). *)
 val exit_code : kind -> int
 
+(** [<kind> error: <context>: <message>]; the context is left out when the
+    message already starts with it. *)
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

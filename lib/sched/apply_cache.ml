@@ -26,12 +26,14 @@
     {2 Lineage chaining}
 
     Entries are keyed by [(parent node, pre-key)]: the node id of the state
-    the step extended plus the RV-relative spelling of the primitive and its
-    inputs ({!Trace.loop_key}/{!Trace.block_key}). Chains are rooted at a
-    per-physical-base-function node ({!base_node}), so a hit can only extend
-    the exact stored chain: the adopted function, its loop [Var]s and
-    [Buffer]s all belong to the lineage whose earlier outputs the caller
-    already holds. This is what makes adoption sound — schedule closures
+    the step extended plus the step's instruction with its outputs left
+    out, spelled as the trace prints it ({!Trace.input_key}: the opcode and
+    the RV-relative inputs). The facade builds that instruction once and
+    records the same value, so the key and the trace cannot disagree.
+    Chains are rooted at a per-physical-base-function node ({!base_node}),
+    so a hit can only extend the exact stored chain: the adopted function,
+    its loop [Var]s and [Buffer]s all belong to the lineage whose earlier
+    outputs the caller already holds. This is what makes adoption sound — schedule closures
     keep loop variables and buffers from earlier steps, and those values
     remain valid in every state reachable through the chain. Node ids are
     process-unique and never reused, so eviction can never let a stale link
@@ -50,20 +52,12 @@
 
 open Tir_ir
 
-(** A primitive's outputs, as stored in a snapshot. *)
-type outs =
-  | R_unit
-  | R_loop of Var.t
-  | R_loops of Var.t list
-  | R_block of string
-  | R_buf of Buffer.t
-
 type entry = {
   e_node : int;  (** this snapshot's chain node id *)
   e_func : Primfunc.t;
   e_name_counter : int;
   e_builder : Trace.builder;  (** frozen post-record snapshot; clone to use *)
-  e_outs : outs;
+  e_outs : Trace.outs;
 }
 
 (* Off only where a test compares the cache with full replay. *)

@@ -3,7 +3,8 @@
 
     Entries snapshot the complete schedule state after one facade step and
     are keyed by [(parent chain node, pre-key)], where the pre-key is the
-    RV-relative spelling of the primitive and its inputs. Chains are rooted
+    step's instruction less its outputs, as the trace prints it
+    ({!Trace.input_key}). Chains are rooted
     at a per-physical-base-function node, so a hit can only extend the
     exact stored lineage — the adopted function and its entities are always
     coherent with the loop variables and buffers the caller already holds
@@ -16,20 +17,12 @@
 
 open Tir_ir
 
-(** A primitive's outputs, as stored in a snapshot. *)
-type outs =
-  | R_unit
-  | R_loop of Var.t
-  | R_loops of Var.t list
-  | R_block of string
-  | R_buf of Buffer.t
-
 type entry = {
   e_node : int;  (** this snapshot's chain node id *)
   e_func : Primfunc.t;
   e_name_counter : int;
   e_builder : Trace.builder;  (** frozen post-record snapshot; clone to use *)
-  e_outs : outs;
+  e_outs : Trace.outs;
 }
 
 (** On by default; tests turn it off to compare with full replay. *)
@@ -52,7 +45,7 @@ val store :
   func:Primfunc.t ->
   name_counter:int ->
   builder:Trace.builder ->
-  outs:outs ->
+  outs:Trace.outs ->
   unit
 
 (** Cumulative (process-wide) hit/miss counters, in that order. *)

@@ -141,28 +141,38 @@ let race_gate t v kind prim =
         raise e
   end
 
-(* The apply cache: a state created with [create_cached] follows the
-   per-domain cache only while it hits. Each step probes under (current
-   chain node, opcode+inputs pre-key); a hit adopts the snapshot —
-   function, name counter, a clone of the recorded builder, the
-   primitive's outputs — in O(1). The first miss cuts the chain (node 0):
-   the step runs, its result is snapshotted once for later schedules to
-   adopt, and every later step of this schedule runs directly, with no
-   key, probe, clone or store. Hits cluster in a sketch's decision-free
-   first steps (see {!Apply_cache}), so a schedule stores one snapshot
-   instead of one per primitive. The chain is cut before the transform
-   runs, so a failed primitive (which may mutate the state before
-   raising) stores nothing. Deep-check mode bypasses the cache so every
-   step really re-runs the analyzer. *)
+(* One schedule step. [i] is the step's instruction: its inputs interned
+   in argument order, its outputs placeholders. [run] applies the
+   primitive (legality gate and transform) and returns its outputs; the
+   step then deep-checks the result of every transforming primitive and
+   records [i] with the RVs of those outputs.
+
+   A state created with [create_cached] follows the per-domain apply cache
+   only while it hits. Each step probes under (current chain node,
+   [Trace.input_key i]); a hit adopts the snapshot — function, name
+   counter, a clone of the recorded builder, the primitive's outputs — in
+   O(1). The first miss cuts the chain (node 0): the step runs, its result
+   is snapshotted once for later schedules to adopt, and every later step
+   of this schedule runs directly, with no key, probe, clone or store.
+   Hits cluster in a sketch's decision-free first steps (see
+   {!Apply_cache}), so a schedule stores one snapshot instead of one per
+   primitive. The chain is cut before the transform runs, so a failed
+   primitive (which may mutate the state before raising) stores nothing.
+   Deep-check mode bypasses the cache so every step really re-runs the
+   analyzer. *)
 module A = Apply_cache
 
-let pk parts = String.concat "\x1f" parts
-
-let step t ~(key : unit -> string) ~(run : unit -> A.outs) : A.outs =
+let apply t (i : Trace.instr) (run : unit -> Trace.outs) : Trace.outs =
+  let exec () =
+    let r = run () in
+    (match i with Trace.Get_loops _ | Trace.Decide _ -> () | _ -> deep t);
+    Trace.record (builder t) i r;
+    r
+  in
   let parent = State.cache_node t in
-  if parent = 0 || (not (A.is_enabled ())) || !deep_check_flag then run ()
+  if parent = 0 || (not (A.is_enabled ())) || !deep_check_flag then exec ()
   else
-    let prekey = key () in
+    let prekey = Trace.input_key i in
     match A.find ~parent ~prekey with
     | Some e ->
         State.adopt t ~func:e.A.e_func ~name_counter:e.A.e_name_counter
@@ -170,155 +180,106 @@ let step t ~(key : unit -> string) ~(run : unit -> A.outs) : A.outs =
         e.A.e_outs
     | None ->
         State.set_cache_node t 0;
-        let outs = run () in
+        let r = exec () in
         A.store ~parent ~prekey ~func:(func t)
           ~name_counter:(State.name_counter t)
-          ~builder:(Trace.clone (builder t)) ~outs;
-        outs
+          ~builder:(Trace.clone (builder t)) ~outs:r;
+        r
 
-let as_unit = function A.R_unit -> () | _ -> assert false
-let as_loop = function A.R_loop v -> v | _ -> assert false
-let as_loops = function A.R_loops vs -> vs | _ -> assert false
-let as_block = function A.R_block n -> n | _ -> assert false
-let as_buf = function A.R_buf b -> b | _ -> assert false
+let as_unit = function Trace.R_unit -> () | _ -> assert false
+let as_loop = function Trace.R_loop v -> v | _ -> assert false
+let as_loops = function Trace.R_loops vs -> vs | _ -> assert false
+let as_block = function Trace.R_block n -> n | _ -> assert false
+let as_buf = function Trace.R_buf b -> b | _ -> assert false
 
-(* Loop transformations. Each primitive records a structured instruction on
-   the schedule trace so a tuning result carries its own reproducible,
-   serializable script. *)
+(* Inputs are interned when the instruction is built, before the cache
+   probe and the transform. *)
+let loop_in t v = Trace.loop_in (builder t) v
+let block_in t name = Trace.block_in (builder t) name
+
+(* Loop transformations. *)
 let split t v ~factors =
   as_loops
-    (step t
-       ~key:(fun () ->
-         pk
-           ("split" :: Trace.loop_key (builder t) v
-           :: List.map string_of_int factors))
-       ~run:(fun () ->
-         let r =
-           mirror_gate
-             (fun () -> L.split (func t) v ~factors)
-             (fun () -> Loop_transform.split t v ~factors)
-         in
-         Trace.record_split (builder t) ~loop:v ~factors ~outs:r;
-         deep t;
-         A.R_loops r))
+    (apply t (Trace.Split { loop = loop_in t v; factors; outs = [] }) (fun () ->
+         Trace.R_loops
+           (mirror_gate
+              (fun () -> L.split (func t) v ~factors)
+              (fun () -> Loop_transform.split t v ~factors))))
 
 let fuse t a b =
+  (* Bound in argument order: a record's fields evaluate in no fixed
+     order, and an untraced [b] must not take its RV before [a]. *)
+  let ra = loop_in t a in
+  let rb = loop_in t b in
   as_loop
-    (step t
-       ~key:(fun () ->
-         let b' = builder t in
-         pk [ "fuse"; Trace.loop_key b' a; Trace.loop_key b' b ])
-       ~run:(fun () ->
-         let r =
-           mirror_gate
-             (fun () -> L.fuse (func t) a b)
-             (fun () -> Loop_transform.fuse t a b)
-         in
-         Trace.record_fuse (builder t) ~a ~b ~out:r;
-         deep t;
-         A.R_loop r))
+    (apply t (Trace.Fuse { a = ra; b = rb; out = 0 }) (fun () ->
+         Trace.R_loop
+           (mirror_gate
+              (fun () -> L.fuse (func t) a b)
+              (fun () -> Loop_transform.fuse t a b))))
 
 let fuse_many t vs =
   as_loop
-    (step t
-       ~key:(fun () ->
-         let b = builder t in
-         pk ("fuse_many" :: List.map (Trace.loop_key b) vs))
-       ~run:(fun () ->
-         let r =
-           mirror_gate
-             (fun () -> L.fuse_many (func t) vs)
-             (fun () -> Loop_transform.fuse_many t vs)
-         in
-         Trace.record_fuse_many (builder t) ~loops:vs ~out:r;
-         deep t;
-         A.R_loop r))
+    (apply t (Trace.Fuse_many { loops = List.map (loop_in t) vs; out = 0 })
+       (fun () ->
+         Trace.R_loop
+           (mirror_gate
+              (fun () -> L.fuse_many (func t) vs)
+              (fun () -> Loop_transform.fuse_many t vs))))
 
 let reorder t vs =
   as_unit
-    (step t
-       ~key:(fun () ->
-         let b = builder t in
-         pk ("reorder" :: List.map (Trace.loop_key b) vs))
-       ~run:(fun () ->
+    (apply t (Trace.Reorder { loops = List.map (loop_in t) vs }) (fun () ->
          (* The dynamic primitive checks structure only; the carried-
             dependence half of the verdict is the prover's alone, so a
             proven-illegal reorder is refused up front. *)
          static_gate (fun () -> L.reorder_carried (func t) vs);
          Loop_transform.reorder t vs;
-         Trace.record_reorder (builder t) ~loops:vs;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
 let bind t v axis =
   as_unit
-    (step t
-       ~key:(fun () -> pk [ "bind"; Trace.loop_key (builder t) v; axis ])
-       ~run:(fun () ->
+    (apply t (Trace.Bind { loop = loop_in t v; thread = axis }) (fun () ->
          race_gate t v (Tir_ir.Stmt.Thread_binding axis) (fun () ->
              Loop_transform.bind t v axis);
-         Trace.record_bind (builder t) ~loop:v ~thread:axis;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
 let parallel t v =
   as_unit
-    (step t
-       ~key:(fun () -> pk [ "parallel"; Trace.loop_key (builder t) v ])
-       ~run:(fun () ->
-         race_gate t v Tir_ir.Stmt.Parallel (fun () ->
-             Loop_transform.parallel t v);
-         Trace.record_parallel (builder t) ~loop:v;
-         deep t;
-         A.R_unit))
+    (apply t (Trace.Parallel { loop = loop_in t v }) (fun () ->
+         race_gate t v Tir_ir.Stmt.Parallel (fun () -> Loop_transform.parallel t v);
+         Trace.R_unit))
 
 let vectorize t v =
   as_unit
-    (step t
-       ~key:(fun () -> pk [ "vectorize"; Trace.loop_key (builder t) v ])
-       ~run:(fun () ->
+    (apply t (Trace.Vectorize { loop = loop_in t v }) (fun () ->
          race_gate t v Tir_ir.Stmt.Vectorized (fun () ->
              Loop_transform.vectorize t v);
-         Trace.record_vectorize (builder t) ~loop:v;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
 let unroll t v =
   as_unit
-    (step t
-       ~key:(fun () -> pk [ "unroll"; Trace.loop_key (builder t) v ])
-       ~run:(fun () ->
+    (apply t (Trace.Unroll { loop = loop_in t v }) (fun () ->
          Loop_transform.unroll t v;
-         Trace.record_unroll (builder t) ~loop:v;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
-let annotate t v k value =
+let annotate t v key value =
   as_unit
-    (step t
-       ~key:(fun () -> pk [ "annotate"; Trace.loop_key (builder t) v; k; value ])
-       ~run:(fun () ->
-         (if String.equal k "software_pipeline" then
+    (apply t (Trace.Annotate { loop = loop_in t v; key; value }) (fun () ->
+         (if String.equal key "software_pipeline" then
             match int_of_string_opt (String.trim value) with
             | Some stages when stages > 1 ->
-                static_gate (fun () ->
-                    L.software_pipeline (func t) v ~stages)
+                static_gate (fun () -> L.software_pipeline (func t) v ~stages)
             | Some _ | None -> ());
-         Loop_transform.annotate t v k value;
-         Trace.record_annotate (builder t) ~loop:v ~key:k ~value;
-         deep t;
-         A.R_unit))
+         Loop_transform.annotate t v key value;
+         Trace.R_unit))
 
-let annotate_block t name k value =
+let annotate_block t name key value =
   as_unit
-    (step t
-       ~key:(fun () ->
-         pk [ "annotate_block"; Trace.block_key (builder t) name; k; value ])
-       ~run:(fun () ->
-         Loop_transform.annotate_block t name k value;
-         Trace.record_annotate_block (builder t) ~block:name ~key:k ~value;
-         deep t;
-         A.R_unit))
+    (apply t (Trace.Annotate_block { block = block_in t name; key; value })
+       (fun () ->
+         Loop_transform.annotate_block t name key value;
+         Trace.R_unit))
 
 (* Lookup. [get_loops] defines the loop RVs later instructions consume, so
    it is itself traced (the internal [State.get_loops] is not) — and
@@ -326,176 +287,100 @@ let annotate_block t name k value =
    trace. *)
 let get_loops t name =
   as_loops
-    (step t
-       ~key:(fun () -> pk [ "get_loops"; Trace.block_key (builder t) name ])
-       ~run:(fun () ->
-         let ls = State.get_loops t name in
-         Trace.record_get_loops (builder t) ~block:name ~outs:ls;
-         A.R_loops ls))
+    (apply t (Trace.Get_loops { block = block_in t name; outs = [] }) (fun () ->
+         Trace.R_loops (State.get_loops t name)))
 
 (* Compute location *)
 let compute_at t name v =
   as_unit
-    (step t
-       ~key:(fun () ->
-         let b = builder t in
-         pk [ "compute_at"; Trace.block_key b name; Trace.loop_key b v ])
-       ~run:(fun () ->
+    (apply t (Trace.Compute_at { block = block_in t name; loop = loop_in t v })
+       (fun () ->
          mirror_gate
            (fun () -> L.compute_at (func t) name v)
            (fun () -> Compute_location.compute_at t name v);
-         Trace.record_compute_at (builder t) ~block:name ~loop:v;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
 let reverse_compute_at t name v =
   as_unit
-    (step t
-       ~key:(fun () ->
-         let b = builder t in
-         pk [ "reverse_compute_at"; Trace.block_key b name; Trace.loop_key b v ])
-       ~run:(fun () ->
+    (apply t
+       (Trace.Reverse_compute_at { block = block_in t name; loop = loop_in t v })
+       (fun () ->
          mirror_gate
            (fun () -> L.reverse_compute_at (func t) name v)
            (fun () -> Compute_location.reverse_compute_at t name v);
-         Trace.record_reverse_compute_at (builder t) ~block:name ~loop:v;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
 let compute_inline t name =
   as_unit
-    (step t
-       ~key:(fun () -> pk [ "compute_inline"; Trace.block_key (builder t) name ])
-       ~run:(fun () ->
+    (apply t (Trace.Compute_inline { block = block_in t name }) (fun () ->
          mirror_gate
            (fun () -> L.compute_inline (func t) name)
            (fun () -> Inline.compute_inline t name);
-         Trace.record_compute_inline (builder t) ~block:name;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
 let reverse_compute_inline t name =
   as_unit
-    (step t
-       ~key:(fun () ->
-         pk [ "reverse_compute_inline"; Trace.block_key (builder t) name ])
-       ~run:(fun () ->
+    (apply t (Trace.Reverse_compute_inline { block = block_in t name }) (fun () ->
          mirror_gate
            (fun () -> L.reverse_compute_inline (func t) name)
            (fun () -> Inline.reverse_compute_inline t name);
-         Trace.record_reverse_compute_inline (builder t) ~block:name;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
 (* Block hierarchy *)
 let cache_read t name buf scope =
   as_block
-    (step t
-       ~key:(fun () ->
-         pk
-           [
-             "cache_read"; Trace.block_key (builder t) name;
-             buf.Tir_ir.Buffer.name; scope;
-           ])
-       ~run:(fun () ->
-         let r = Cache.cache_read t name buf scope in
-         Trace.record_cache_read (builder t) ~block:name
-           ~buffer:buf.Tir_ir.Buffer.name ~scope ~out:r;
-         deep t;
-         A.R_block r))
+    (apply t
+       (Trace.Cache_read
+          { block = block_in t name; buffer = buf.Tir_ir.Buffer.name; scope; out = 0 })
+       (fun () -> Trace.R_block (Cache.cache_read t name buf scope)))
 
 let cache_write t name buf scope =
   as_block
-    (step t
-       ~key:(fun () ->
-         pk
-           [
-             "cache_write"; Trace.block_key (builder t) name;
-             buf.Tir_ir.Buffer.name; scope;
-           ])
-       ~run:(fun () ->
-         let r = Cache.cache_write t name buf scope in
-         Trace.record_cache_write (builder t) ~block:name
-           ~buffer:buf.Tir_ir.Buffer.name ~scope ~out:r;
-         deep t;
-         A.R_block r))
+    (apply t
+       (Trace.Cache_write
+          { block = block_in t name; buffer = buf.Tir_ir.Buffer.name; scope; out = 0 })
+       (fun () -> Trace.R_block (Cache.cache_write t name buf scope)))
 
 let set_scope t buf scope =
   as_buf
-    (step t
-       ~key:(fun () -> pk [ "set_scope"; buf.Tir_ir.Buffer.name; scope ])
-       ~run:(fun () ->
-         let r = Cache.set_scope t buf scope in
-         Trace.record_set_scope (builder t) ~buffer:buf.Tir_ir.Buffer.name ~scope;
-         deep t;
-         A.R_buf r))
+    (apply t (Trace.Set_scope { buffer = buf.Tir_ir.Buffer.name; scope }) (fun () ->
+         Trace.R_buf (Cache.set_scope t buf scope)))
 
 let blockize t v =
   as_block
-    (step t
-       ~key:(fun () -> pk [ "blockize"; Trace.loop_key (builder t) v ])
-       ~run:(fun () ->
-         let r = Blockize.blockize t v in
-         Trace.record_blockize (builder t) ~loop:v ~out:r;
-         deep t;
-         A.R_block r))
+    (apply t (Trace.Blockize { loop = loop_in t v; out = 0 }) (fun () ->
+         Trace.R_block (Blockize.blockize t v)))
 
 let tensorize t v intrin =
   as_block
-    (step t
-       ~key:(fun () -> pk [ "tensorize"; Trace.loop_key (builder t) v; intrin ])
-       ~run:(fun () ->
-         let r = Tensorize.tensorize t v intrin in
-         Trace.record_tensorize (builder t) ~loop:v ~intrin ~out:r;
-         deep t;
-         A.R_block r))
+    (apply t (Trace.Tensorize { loop = loop_in t v; intrin; out = 0 }) (fun () ->
+         Trace.R_block (Tensorize.tensorize t v intrin)))
 
 let tensorize_block t name intrin =
   as_unit
-    (step t
-       ~key:(fun () ->
-         pk [ "tensorize_block"; Trace.block_key (builder t) name; intrin ])
-       ~run:(fun () ->
+    (apply t (Trace.Tensorize_block { block = block_in t name; intrin }) (fun () ->
          Tensorize.tensorize_block t name intrin;
-         Trace.record_tensorize_block (builder t) ~block:name ~intrin;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
 let decompose_reduction t name v =
   as_block
-    (step t
-       ~key:(fun () ->
-         let b = builder t in
-         pk [ "decompose_reduction"; Trace.block_key b name; Trace.loop_key b v ])
-       ~run:(fun () ->
-         let r = Reduction.decompose_reduction t name v in
-         Trace.record_decompose_reduction (builder t) ~block:name ~loop:v ~out:r;
-         deep t;
-         A.R_block r))
+    (apply t
+       (Trace.Decompose_reduction
+          { block = block_in t name; loop = loop_in t v; out = 0 })
+       (fun () -> Trace.R_block (Reduction.decompose_reduction t name v)))
 
 let merge_reduction t init update =
   as_unit
-    (step t
-       ~key:(fun () ->
-         let b = builder t in
-         pk [ "merge_reduction"; Trace.block_key b init; Trace.block_key b update ])
-       ~run:(fun () ->
+    (apply t
+       (Trace.Merge_reduction { init = block_in t init; update = block_in t update })
+       (fun () ->
          Reduction.merge_reduction t init update;
-         Trace.record_merge_reduction (builder t) ~init ~update;
-         deep t;
-         A.R_unit))
+         Trace.R_unit))
 
 let rfactor t name v =
   as_block
-    (step t
-       ~key:(fun () ->
-         let b = builder t in
-         pk [ "rfactor"; Trace.block_key b name; Trace.loop_key b v ])
-       ~run:(fun () ->
-         let r = Reduction.rfactor t name v in
-         Trace.record_rfactor (builder t) ~block:name ~loop:v ~out:r;
-         deep t;
-         A.R_block r))
+    (apply t (Trace.Rfactor { block = block_in t name; loop = loop_in t v; out = 0 })
+       (fun () -> Trace.R_block (Reduction.rfactor t name v)))
 
 (* Decisions *)
 
@@ -505,12 +390,7 @@ let rfactor t name v =
     transformation, but it is a trace instruction, so it is a cache step
     like any other — the chain stays in lockstep with the trace. *)
 let record_decision t knob choice =
-  as_unit
-    (step t
-       ~key:(fun () -> pk [ "decide"; knob; string_of_int choice ])
-       ~run:(fun () ->
-         Trace.record_decide (builder t) ~knob ~choice;
-         A.R_unit))
+  as_unit (apply t (Trace.Decide { knob; choice }) (fun () -> Trace.R_unit))
 
 (* Validation *)
 let validate t = Validate.check_func (func t)

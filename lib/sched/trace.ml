@@ -231,14 +231,14 @@ let string_of_out = function
   | O_loop l -> Printf.sprintf "l%d" l
   | O_block b -> Printf.sprintf "b%d" b
 
+let call name args =
+  Printf.sprintf "%s(%s)" name (String.concat ", " (List.map string_of_arg args))
+
 let instr_to_string (i : instr) =
   let outs, name, args = encode i in
-  let call =
-    Printf.sprintf "%s(%s)" name (String.concat ", " (List.map string_of_arg args))
-  in
   match outs with
-  | [] -> call
-  | outs -> String.concat ", " (List.map string_of_out outs) ^ " = " ^ call
+  | [] -> call name args
+  | outs -> String.concat ", " (List.map string_of_out outs) ^ " = " ^ call name args
 
 let pp_instr ppf i = Fmt.string ppf (instr_to_string i)
 
@@ -430,8 +430,6 @@ let instrs (b : builder) : t = List.rev b.rev
 
 let length (b : builder) = List.length b.rev
 
-let emit b i = b.rev <- i :: b.rev
-
 let fresh_loop b =
   let rv = b.next_loop in
   b.next_loop <- rv + 1;
@@ -439,7 +437,10 @@ let fresh_loop b =
 
 (* An input loop that was never produced by a traced instruction gets a
    fresh RV that no instruction defines: recording never fails, and replay
-   reports the unbound RV if the trace is genuinely incomplete. *)
+   reports the unbound RV if the trace is genuinely incomplete. Interning
+   is idempotent, so the facade interns a step's inputs once, before the
+   primitive runs, and the apply-cache key and the recorded instruction
+   share them. *)
 let loop_in b (v : Var.t) =
   match IntMap.find_opt v.Var.id b.loop_rvs with
   | Some rv -> rv
@@ -464,92 +465,36 @@ let block_out b name =
   b.block_rvs <- StrMap.add name rv b.block_rvs;
   rv
 
-(* Pre-keys: the RV-relative spelling of a primitive {e input}, computed
-   before the primitive runs. RV numbering is a pure function of the
-   instruction sequence, so two schedules that applied the same primitives
-   to the same base spell the same inputs identically — which is what lets
-   the apply cache ([Apply_cache]) recognize a repeated step. Interning an
-   input is idempotent: computing a pre-key and then recording the
-   instruction assigns the same RV as recording directly. *)
+(* The call half of the printed instruction, [name(args)]. RV numbering is
+   a pure function of the instruction sequence, so two schedules that
+   applied the same primitives to the same base spell the same step
+   identically — which is what lets the apply cache recognize it. *)
+let input_key (i : instr) =
+  let _, name, args = encode i in
+  call name args
 
-let loop_key b (v : Var.t) = Printf.sprintf "l%d" (loop_in b v)
+type outs =
+  | R_unit
+  | R_loop of Var.t
+  | R_loops of Var.t list
+  | R_block of string
+  | R_buf of Buffer.t
 
-let block_key b name =
-  match block_in b name with
-  | Brv rv -> Printf.sprintf "b%d" rv
-  | Bname n -> "%" ^ n
-
-let record_get_loops b ~block ~outs =
-  let block = block_in b block in
-  emit b (Get_loops { block; outs = List.map (loop_out b) outs })
-
-let record_split b ~loop ~factors ~outs =
-  let loop = loop_in b loop in
-  emit b (Split { loop; factors; outs = List.map (loop_out b) outs })
-
-let record_fuse b ~a ~b:b' ~out =
-  let a = loop_in b a and b' = loop_in b b' in
-  emit b (Fuse { a; b = b'; out = loop_out b out })
-
-let record_fuse_many b ~loops ~out =
-  let loops = List.map (loop_in b) loops in
-  emit b (Fuse_many { loops; out = loop_out b out })
-
-let record_reorder b ~loops = emit b (Reorder { loops = List.map (loop_in b) loops })
-let record_bind b ~loop ~thread = emit b (Bind { loop = loop_in b loop; thread })
-let record_parallel b ~loop = emit b (Parallel { loop = loop_in b loop })
-let record_vectorize b ~loop = emit b (Vectorize { loop = loop_in b loop })
-let record_unroll b ~loop = emit b (Unroll { loop = loop_in b loop })
-
-let record_annotate b ~loop ~key ~value =
-  emit b (Annotate { loop = loop_in b loop; key; value })
-
-let record_annotate_block b ~block ~key ~value =
-  emit b (Annotate_block { block = block_in b block; key; value })
-
-let record_compute_at b ~block ~loop =
-  let block = block_in b block in
-  emit b (Compute_at { block; loop = loop_in b loop })
-
-let record_reverse_compute_at b ~block ~loop =
-  let block = block_in b block in
-  emit b (Reverse_compute_at { block; loop = loop_in b loop })
-
-let record_compute_inline b ~block = emit b (Compute_inline { block = block_in b block })
-
-let record_reverse_compute_inline b ~block =
-  emit b (Reverse_compute_inline { block = block_in b block })
-
-let record_cache_read b ~block ~buffer ~scope ~out =
-  let block = block_in b block in
-  emit b (Cache_read { block; buffer; scope; out = block_out b out })
-
-let record_cache_write b ~block ~buffer ~scope ~out =
-  let block = block_in b block in
-  emit b (Cache_write { block; buffer; scope; out = block_out b out })
-
-let record_set_scope b ~buffer ~scope = emit b (Set_scope { buffer; scope })
-
-let record_blockize b ~loop ~out =
-  let loop = loop_in b loop in
-  emit b (Blockize { loop; out = block_out b out })
-
-let record_tensorize b ~loop ~intrin ~out =
-  let loop = loop_in b loop in
-  emit b (Tensorize { loop; intrin; out = block_out b out })
-
-let record_tensorize_block b ~block ~intrin =
-  emit b (Tensorize_block { block = block_in b block; intrin })
-
-let record_decompose_reduction b ~block ~loop ~out =
-  let block = block_in b block and loop = loop_in b loop in
-  emit b (Decompose_reduction { block; loop; out = block_out b out })
-
-let record_merge_reduction b ~init ~update =
-  emit b (Merge_reduction { init = block_in b init; update = block_in b update })
-
-let record_rfactor b ~block ~loop ~out =
-  let block = block_in b block and loop = loop_in b loop in
-  emit b (Rfactor { block; loop; out = block_out b out })
-
-let record_decide b ~knob ~choice = emit b (Decide { knob; choice })
+let record b (i : instr) (r : outs) =
+  let i =
+    match (i, r) with
+    | Get_loops x, R_loops vs -> Get_loops { x with outs = List.map (loop_out b) vs }
+    | Split x, R_loops vs -> Split { x with outs = List.map (loop_out b) vs }
+    | Fuse x, R_loop v -> Fuse { x with out = loop_out b v }
+    | Fuse_many x, R_loop v -> Fuse_many { x with out = loop_out b v }
+    | Cache_read x, R_block n -> Cache_read { x with out = block_out b n }
+    | Cache_write x, R_block n -> Cache_write { x with out = block_out b n }
+    | Blockize x, R_block n -> Blockize { x with out = block_out b n }
+    | Tensorize x, R_block n -> Tensorize { x with out = block_out b n }
+    | Decompose_reduction x, R_block n ->
+        Decompose_reduction { x with out = block_out b n }
+    | Rfactor x, R_block n -> Rfactor { x with out = block_out b n }
+    | _, (R_unit | R_buf _) -> i
+    | _ -> invalid_arg ("Trace.record: outputs do not fit " ^ instr_to_string i)
+  in
+  b.rev <- i :: b.rev

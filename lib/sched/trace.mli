@@ -91,13 +91,13 @@ val decisions : t -> (string * int) list
 
 (** {2 Recording}
 
-    A [builder] is the mutable recording state carried by a schedule. The
-    [record_*] functions intern concrete loop variables and block names
-    into RVs: outputs always define fresh RVs; a loop input that no traced
-    instruction produced is assigned a fresh, never-defined RV (recording
-    never fails — replay reports the unbound RV if the trace is genuinely
-    incomplete); a block input is a [Brv] if a traced instruction created
-    the block and a [Bname] literal otherwise. *)
+    A [builder] is the mutable recording state carried by a schedule. Each
+    facade step of [Schedule] builds its instruction once: it interns the
+    step's inputs into RVs in argument order ({!loop_in}, {!block_in}),
+    leaving the output fields as placeholders. The apply cache keys the
+    step by {!input_key} of that instruction, and {!record} appends it
+    with the RVs of the outputs the primitive produced — so printing,
+    parsing, the cache key and the record all derive from one [instr]. *)
 
 type builder
 
@@ -111,45 +111,33 @@ val instrs : builder -> t
 
 val length : builder -> int
 
-(** {2 Pre-keys}
+(** The RV of an input loop. A loop that no traced instruction produced is
+    assigned a fresh, never-defined RV (recording never fails — replay
+    reports the unbound RV if the trace is genuinely incomplete).
+    Idempotent. *)
+val loop_in : builder -> Tir_ir.Var.t -> loop_rv
 
-    The RV-relative spelling of a primitive {e input} ([l<n>], [b<n>] or
-    [%name]), computed {e before} the primitive runs. RV numbering is a pure
-    function of the instruction sequence, so schedules that applied the same
-    primitives to the same base spell their inputs identically — the apply
-    cache keys on this. Interning is idempotent: computing a pre-key and
-    then recording the instruction assigns the same RVs as recording
-    directly. *)
+(** An input block: a [Brv] if a traced instruction created it, a [Bname]
+    literal otherwise. *)
+val block_in : builder -> string -> block_ref
 
-val loop_key : builder -> Tir_ir.Var.t -> string
-val block_key : builder -> string -> string
+(** The opcode and inputs of an instruction as {!instr_to_string} prints
+    them ([name(args)]), ignoring its outputs. RV numbering is a pure
+    function of the instruction sequence, so schedules that applied the
+    same primitives to the same base spell the same step identically — the
+    apply cache keys on this. *)
+val input_key : instr -> string
 
-val record_get_loops : builder -> block:string -> outs:Tir_ir.Var.t list -> unit
-val record_split :
-  builder -> loop:Tir_ir.Var.t -> factors:int list -> outs:Tir_ir.Var.t list -> unit
-val record_fuse : builder -> a:Tir_ir.Var.t -> b:Tir_ir.Var.t -> out:Tir_ir.Var.t -> unit
-val record_fuse_many : builder -> loops:Tir_ir.Var.t list -> out:Tir_ir.Var.t -> unit
-val record_reorder : builder -> loops:Tir_ir.Var.t list -> unit
-val record_bind : builder -> loop:Tir_ir.Var.t -> thread:string -> unit
-val record_parallel : builder -> loop:Tir_ir.Var.t -> unit
-val record_vectorize : builder -> loop:Tir_ir.Var.t -> unit
-val record_unroll : builder -> loop:Tir_ir.Var.t -> unit
-val record_annotate : builder -> loop:Tir_ir.Var.t -> key:string -> value:string -> unit
-val record_annotate_block : builder -> block:string -> key:string -> value:string -> unit
-val record_compute_at : builder -> block:string -> loop:Tir_ir.Var.t -> unit
-val record_reverse_compute_at : builder -> block:string -> loop:Tir_ir.Var.t -> unit
-val record_compute_inline : builder -> block:string -> unit
-val record_reverse_compute_inline : builder -> block:string -> unit
-val record_cache_read :
-  builder -> block:string -> buffer:string -> scope:string -> out:string -> unit
-val record_cache_write :
-  builder -> block:string -> buffer:string -> scope:string -> out:string -> unit
-val record_set_scope : builder -> buffer:string -> scope:string -> unit
-val record_blockize : builder -> loop:Tir_ir.Var.t -> out:string -> unit
-val record_tensorize : builder -> loop:Tir_ir.Var.t -> intrin:string -> out:string -> unit
-val record_tensorize_block : builder -> block:string -> intrin:string -> unit
-val record_decompose_reduction :
-  builder -> block:string -> loop:Tir_ir.Var.t -> out:string -> unit
-val record_merge_reduction : builder -> init:string -> update:string -> unit
-val record_rfactor : builder -> block:string -> loop:Tir_ir.Var.t -> out:string -> unit
-val record_decide : builder -> knob:string -> choice:int -> unit
+(** What a primitive returned, in the concrete terms of the schedule. *)
+type outs =
+  | R_unit
+  | R_loop of Tir_ir.Var.t
+  | R_loops of Tir_ir.Var.t list
+  | R_block of string
+  | R_buf of Tir_ir.Buffer.t
+
+(** Append the instruction, with its output fields set to fresh RVs for
+    the given outputs (the placeholder outputs it carries are ignored).
+    Raises [Invalid_argument] when the outputs do not fit the
+    instruction. *)
+val record : builder -> instr -> outs -> unit

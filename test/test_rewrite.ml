@@ -4,9 +4,7 @@
     sketches produce they give what the two-pass rewrites gave. *)
 
 open Tir_ir
-module W = Tir_workloads.Workloads
 module Sk = Tir_autosched.Sketch
-module Rng = Tir_autosched.Rng
 
 (* The rewrites as they were first written: rebuild the children, then
    apply the expression rewrite to the whole rebuilt subtree, at every
@@ -94,51 +92,18 @@ let test_binders_shadow () =
     (Stmt.If (cond, loop (store x), Some (store zero)))
     (sub (Stmt.If (cond, loop (store x), Some (store x))))
 
-(* Small instances of every workload family, per target, as the
-   benchmark's interpreter check sizes them. *)
-let small_instance tag (target : Tir_sim.Target.t) =
-  let cpu = target.Tir_sim.Target.kind = Tir_sim.Target.Cpu in
-  let in_dtype, acc_dtype = if cpu then (Dtype.I8, Dtype.I32) else (Dtype.F16, Dtype.F32) in
-  match tag with
-  | "GMM" -> W.gmm ~in_dtype ~acc_dtype ~m:16 ~n:48 ~k:32 ()
-  | "C2D" -> W.c2d ~in_dtype ~acc_dtype ~h:4 ~w:4 ~ci:16 ~co:48 ()
-  | "C1D" -> W.c1d ~l:16 ~ci:16 ~co:16 ()
-  | "C3D" -> W.c3d ~d:1 ~h:4 ~w:4 ~ci:16 ~co:16 ()
-  | "DEP" -> W.dep ~h:8 ~w:8 ~c:16 ()
-  | "DIL" -> W.dil ~h:4 ~w:4 ~ci:16 ~co:16 ()
-  | "GRP" -> W.grp ~h:4 ~w:4 ~groups:2 ~ci:32 ~co:32 ()
-  | _ -> W.t2d ~h:2 ~w:2 ~ci:16 ~co:16 ()
-
-(* Programs of every sketch of every family on both targets, at five
-   seeded decision vectors each (those a sketch rejects are skipped). *)
-let sketch_programs () =
-  let rng = Rng.create 11 in
-  List.concat_map
-    (fun target ->
-      List.concat_map
-        (fun tag ->
-          let w = small_instance tag target in
-          let sketches =
-            Sk.generate target w (Tir_autosched.Tune.target_intrinsics target)
-          in
-          List.concat_map
-            (fun (sk : Sk.t) ->
-              List.filter_map
-                (fun _ ->
-                  let d = Tir_autosched.Space.random_decisions rng sk.Sk.knobs in
-                  match sk.Sk.apply d with
-                  | sch -> Some (Tir_sched.Schedule.func sch)
-                  | exception Tir_sched.State.Schedule_error _ -> None)
-                [ 1; 2; 3; 4; 5 ])
-            sketches)
-        [ "GMM"; "C1D"; "C2D"; "C3D"; "DEP"; "DIL"; "GRP"; "T2D" ])
-    [ Tir_sim.Target.gpu_tensorcore; Tir_sim.Target.arm_sdot ]
-
 (* Every buffer rewritten to a fresh one, and every loop variable
    substituted in its loop's body, as the primitives do: the one-pass
    rewrites give the reference's statements, equal and printed alike. *)
 let test_sketch_programs_match_reference () =
-  let programs = sketch_programs () in
+  let programs =
+    List.filter_map
+      (fun (_, (sk : Sk.t), d) ->
+        match sk.apply d with
+        | sch -> Some (Tir_sched.Schedule.func sch)
+        | exception Tir_sched.State.Schedule_error _ -> None)
+      (Util.sketch_programs ())
+  in
   Alcotest.(check bool) "some sketch applied" true (List.length programs >= 48);
   List.iter
     (fun (f : Primfunc.t) ->

@@ -276,6 +276,45 @@ let test_tenant_rank_corr_gauge () =
         (v >= -1.0 && v <= 1.0 && Float.is_finite v));
   Sys.remove path
 
+(* A tenant's last step ([Done]) commits no generation, so a tenant that
+   finished under this scheduler has taken one step more than it has
+   generations, and a tenant cut at the step budget has not. `tensorir top`
+   tells finished tenants from running ones by this. *)
+let test_finished_tenant_steps_once_more () =
+  fresh ();
+  let names = [ "fin.a"; "fin.b" ] in
+  let counter tn metric =
+    Metrics.counter_value (Metrics.counter (Printf.sprintf "tenant.%s.%s" tn metric))
+  in
+  let check_steps label extra =
+    List.iter
+      (fun tn ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s: steps = generations + %d" label tn extra)
+          (counter tn "generations" + extra)
+          (counter tn "steps"))
+      names
+  in
+  let sch = Scheduler.create () in
+  let wals =
+    List.map
+      (fun name ->
+        let path = temp_wal () in
+        Scheduler.submit sch ~name
+          (Session.create ~path (cfg_of ~seed:7 ~trials:16) (tiny_gmm ()) gpu);
+        path)
+      names
+  in
+  (match Scheduler.run ~max_steps:2 sch with
+  | Scheduler.Budget -> ()
+  | Scheduler.Idle -> Alcotest.fail "finished before the cut");
+  check_steps "cut" 0;
+  (match Scheduler.run sch with
+  | Scheduler.Idle -> ()
+  | Scheduler.Budget -> Alcotest.fail "no budget was set");
+  check_steps "finished" 1;
+  List.iter Sys.remove wals
+
 let test_duplicate_tenant_rejected () =
   let sch = Scheduler.create () in
   let path = temp_wal () in
@@ -454,6 +493,9 @@ let suite =
     ("2:1 priority gives 2:1 generations", `Quick, test_priority_weights_generations);
     ("cross-tenant database replay", `Quick, test_cross_tenant_replay);
     ("tenant rank-corr gauge", `Quick, test_tenant_rank_corr_gauge);
+    ( "finished tenant steps once more than it generates",
+      `Quick,
+      test_finished_tenant_steps_once_more );
     ("duplicate tenant rejected", `Quick, test_duplicate_tenant_rejected);
     ("job file parse roundtrip", `Quick, test_job_parse_roundtrip);
     ( "serve completes and dead-letters",

@@ -102,6 +102,21 @@ let test_error_kinds_and_exit_codes () =
         (String.length (Error.kind_name k) > 0))
     kinds
 
+(* The OS message of a failed read already starts with the path; the
+   rendered error names it once. *)
+let test_io_error_names_file_once () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "tir_no_such_file.json" in
+  match Tir_core.File.read path with
+  | _ -> Alcotest.failf "%s exists" path
+  | exception Error.Error e ->
+      let text = Error.to_string e and n = String.length path in
+      let rec count i acc =
+        if i + n > String.length text then acc
+        else count (i + 1) (if String.sub text i n = path then acc + 1 else acc)
+      in
+      Alcotest.(check int) ("path named once: " ^ text) 1 (count 0 0);
+      Alcotest.(check int) "io exit code" 4 (Error.exit_code e.Error.kind)
+
 let test_result_constructors () =
   (match Tir_sched.Trace.of_string_result "not a trace !!" with
   | Error e ->
@@ -410,6 +425,7 @@ let suite =
     ("config default and setters", `Quick, test_config_default_and_setters);
     ("stepped driver matches run", `Quick, test_stepper_matches_run);
     ("error kinds map to exit codes", `Quick, test_error_kinds_and_exit_codes);
+    ("io error names its file once", `Quick, test_io_error_names_file_once);
     ("result-returning parsers", `Quick, test_result_constructors);
     ("wal roundtrip and torn tail", `Quick, test_wal_roundtrip_and_torn_tail);
     ("kill+resume bit-identical (jobs=1)", `Quick, test_kill_and_resume_jobs1);

@@ -1,7 +1,8 @@
 (** Schedule traces: serialization round-trips over every instruction
     form (including adversarial string payloads), parse-error handling,
-    and the replay law [instructions (replay tr f) = tr] on recorded
-    schedules. *)
+    the replay law [instructions (replay tr f) = tr] on recorded
+    schedules, and one recorded trace per schedule whether or not the
+    apply cache is consulted. *)
 
 module S = Tir_sched.Schedule
 module Trace = Tir_sched.Trace
@@ -157,6 +158,81 @@ let test_replay_errors () =
     [ Trace.Cache_read { block = Trace.Bname "C"; buffer = "nope"; scope = "shared"; out = 0 } ]
     f
 
+(* The loops of a schedule's program, outermost first, read from its body:
+   no instruction has defined them yet, so the step that consumes them
+   interns them. *)
+let untraced_loops t =
+  let acc = ref [] in
+  Tir_ir.Stmt.iter
+    (function Tir_ir.Stmt.For r -> acc := r.Tir_ir.Stmt.loop_var :: !acc | _ -> ())
+    (S.body t);
+  List.rev !acc
+
+(* A step over untraced loops records the same instruction whether or not
+   the schedule consults the apply cache: the inputs are interned in
+   argument order on both paths. *)
+let test_untraced_inputs_in_argument_order () =
+  let check name expected step =
+    List.iter
+      (fun (path, create) ->
+        let t = create (Util.matmul ()) in
+        step t (untraced_loops t);
+        Alcotest.(check (list string)) (name ^ " on " ^ path) expected (S.trace t))
+      [ ("create", S.create); ("create_cached", S.create_cached) ]
+  in
+  check "fuse" [ "l2 = fuse(l0, l1)" ] (fun t -> function
+    | i :: j :: _ -> ignore (S.fuse t i j)
+    | _ -> assert false);
+  check "fuse_many" [ "l2 = fuse_many([l0, l1])" ] (fun t -> function
+    | i :: j :: _ -> ignore (S.fuse_many t [ i; j ])
+    | _ -> assert false);
+  check "reorder" [ "reorder([l0, l1, l2])" ] (fun t -> function
+    | [ i; j; k ] -> S.reorder t [ j; i; k ]
+    | _ -> assert false)
+
+(* The replay law over every sketch program: the cached, the re-cached and
+   the uncached application record one trace, which round-trips through
+   text and replays to itself and to the same program. *)
+let test_sketch_traces_cache_independent () =
+  let module Ac = Tir_sched.Apply_cache in
+  let checked = ref 0 in
+  List.iter
+    (fun (w, (sk : Tir_autosched.Sketch.t), d) ->
+      match sk.apply d with
+      | exception Tir_sched.State.Schedule_error _ -> ()
+      | first ->
+          incr checked;
+          let tr = S.instructions first in
+          let text = Trace.to_string tr in
+          let name = sk.name ^ " " ^ w.Tir_workloads.Workloads.name in
+          let hits0, _ = Ac.stats () in
+          let again = sk.apply d in
+          Alcotest.(check bool) (name ^ ": re-application adopts") true
+            (fst (Ac.stats ()) > hits0);
+          let uncached =
+            Ac.set_enabled false;
+            Fun.protect ~finally:(fun () -> Ac.set_enabled true) (fun () -> sk.apply d)
+          in
+          Alcotest.(check string) (name ^ ": re-applied") text
+            (Trace.to_string (S.instructions again));
+          Alcotest.(check string) (name ^ ": cache off") text
+            (Trace.to_string (S.instructions uncached));
+          Alcotest.(check bool) (name ^ ": text round-trips") true
+            (Trace.equal tr (roundtrip tr));
+          let base =
+            match Tir_autosched.Database.base_func w sk.base with
+            | Some f -> f
+            | None -> Alcotest.failf "%s: no base function" name
+          in
+          let replayed = S.replay tr base in
+          Alcotest.(check bool) (name ^ ": replay law") true
+            (Trace.equal tr (S.instructions replayed));
+          Alcotest.(check bool) (name ^ ": same program") true
+            (Tir_ir.Fingerprint.func (S.func first)
+            = Tir_ir.Fingerprint.func (S.func replayed)))
+    (Util.sketch_programs ());
+  Alcotest.(check bool) "some sketch applied" true (!checked >= 48)
+
 let suite =
   [
     ("every constructor roundtrips", `Quick, test_every_constructor_roundtrips);
@@ -167,4 +243,10 @@ let suite =
     ("replay from serialized text", `Quick, test_replay_from_text);
     ("decisions preserved across replay", `Quick, test_replay_decisions_preserved);
     ("replay errors", `Quick, test_replay_errors);
+    ( "untraced inputs interned in argument order",
+      `Quick,
+      test_untraced_inputs_in_argument_order );
+    ( "sketch traces: cache on, again, off and replayed",
+      `Quick,
+      test_sketch_traces_cache_independent );
   ]

@@ -84,3 +84,43 @@ let tune ?(seed = 42) ?(trials = 64) ?use_cost_model ?evolve ?sketches
     |> opt with_jobs jobs
   in
   Tir_autosched.Tune.run cfg w target
+
+(* Small instances of every workload family, per target, as the
+   benchmark's interpreter check sizes them. *)
+let small_instance tag (target : Tir_sim.Target.t) =
+  let module W = Tir_workloads.Workloads in
+  let cpu = target.Tir_sim.Target.kind = Tir_sim.Target.Cpu in
+  let in_dtype, acc_dtype = if cpu then (Dtype.I8, Dtype.I32) else (Dtype.F16, Dtype.F32) in
+  match tag with
+  | "GMM" -> W.gmm ~in_dtype ~acc_dtype ~m:16 ~n:48 ~k:32 ()
+  | "C2D" -> W.c2d ~in_dtype ~acc_dtype ~h:4 ~w:4 ~ci:16 ~co:48 ()
+  | "C1D" -> W.c1d ~l:16 ~ci:16 ~co:16 ()
+  | "C3D" -> W.c3d ~d:1 ~h:4 ~w:4 ~ci:16 ~co:16 ()
+  | "DEP" -> W.dep ~h:8 ~w:8 ~c:16 ()
+  | "DIL" -> W.dil ~h:4 ~w:4 ~ci:16 ~co:16 ()
+  | "GRP" -> W.grp ~h:4 ~w:4 ~groups:2 ~ci:32 ~co:32 ()
+  | _ -> W.t2d ~h:2 ~w:2 ~ci:16 ~co:16 ()
+
+(* Every sketch of every family on both targets, with five seeded decision
+   vectors each, and the workload it schedules. Some vectors are ones the
+   sketch rejects: [apply] raises [Schedule_error] on them. *)
+let sketch_programs () =
+  let rng = Tir_autosched.Rng.create 11 in
+  List.concat_map
+    (fun target ->
+      List.concat_map
+        (fun tag ->
+          let w = small_instance tag target in
+          let sketches =
+            Tir_autosched.Sketch.generate target w
+              (Tir_autosched.Tune.target_intrinsics target)
+          in
+          List.concat_map
+            (fun (sk : Tir_autosched.Sketch.t) ->
+              List.map
+                (fun _ ->
+                  (w, sk, Tir_autosched.Space.random_decisions rng sk.knobs))
+                [ 1; 2; 3; 4; 5 ])
+            sketches)
+        [ "GMM"; "C1D"; "C2D"; "C3D"; "DEP"; "DIL"; "GRP"; "T2D" ])
+    [ Tir_sim.Target.gpu_tensorcore; Tir_sim.Target.arm_sdot ]
