@@ -110,8 +110,10 @@ serve-smoke: build
 # `tensorir report` can summarize, and a metrics snapshot that
 # `tensorir top` can render, with a row and a finite best for the job
 # whose name holds a dot, and both drained jobs shown as finished. A
-# traced tune must produce a validating trace whose report shows a
-# non-empty, monotone search summary.
+# traced two-generation tune must produce a validating trace whose
+# report shows a non-empty, monotone search summary and exactly one
+# cost-model fit: the second generation's scoring fits the first's
+# samples, and nothing reads the model after the last measurement.
 trace-smoke: build
 	rm -rf /tmp/tir_trace_smoke
 	dune exec bin/tensorir_cli.exe -- submit --queue /tmp/tir_trace_smoke \
@@ -130,13 +132,14 @@ trace-smoke: build
 	grep -Eq "^gmm\.smoke +[0-9]+ +[0-9]+ +[0-9]+\.[0-9]+  finished$$" \
 	  /tmp/tir_trace_smoke/top.txt
 	test $$(grep -c "  finished$$" /tmp/tir_trace_smoke/top.txt) -eq 2
-	dune exec bin/tensorir_cli.exe -- tune GMM --trials 16 \
+	dune exec bin/tensorir_cli.exe -- tune GMM --trials 32 \
 	  --trace-out /tmp/tir_trace_smoke/tune.json
 	dune exec tools/validate_trace.exe /tmp/tir_trace_smoke/tune.json
 	dune exec bin/tensorir_cli.exe -- report /tmp/tir_trace_smoke/tune.json \
 	  > /tmp/tir_trace_smoke/report.txt
 	grep -q "^summary: [1-9][0-9]* generation" /tmp/tir_trace_smoke/report.txt
 	grep -q "best-so-far monotone: true" /tmp/tir_trace_smoke/report.txt
+	grep -Eq "^model\.retrain +1 +[0-9]+\.[0-9]$$" /tmp/tir_trace_smoke/report.txt
 	rm -rf /tmp/tir_trace_smoke
 
 # Semantic static analysis (data races, region soundness, bounds) over

@@ -4,10 +4,13 @@
     state machine: an [Engine.t] holds the full search state (elite set,
     dedup table, cost model, cumulative stats, generation counter) and
     {!step} advances it by exactly one generation — proposal fan-out,
-    preparation, ranking, checks, measurement, cost-model retrain, and the
-    per-generation metrics/trace/checkpoint flush. [Tune.run] and
-    [Session.run] are thin loops over [step];
-    schedulers that interleave many searches ([Tir_service.Scheduler])
+    preparation, ranking, checks, measurement, and the per-generation
+    metrics/trace/checkpoint flush. The cost model fits on the samples a
+    generation measured when the next generation scores with it
+    ([Model.score_batch]), so a search's last batch is fitted only if
+    something reads the model afterwards.
+    [Tune.run] and [Session.run] are thin loops over [step]; schedulers
+    that interleave many searches ([Tir_service.Scheduler])
     call [step] directly and get preemption at generation boundaries for
     free — a generation is the atomic unit of work, and everything a
     generation writes (WAL records, metrics, trace events) is committed
@@ -411,8 +414,8 @@ let check_all t cands =
     (List.map2
        (fun (x, (sk, _, origin, _)) ev ->
          match ev with
-         | Eval.Evaluated { func; fp; features; trace } ->
-             [ (x, (sk, origin, func, fp, features, trace)) ]
+         | Eval.Evaluated { func; fp; features; nests; trace } ->
+             [ (x, (sk, origin, func, fp, features, nests, trace)) ]
          | _ ->
              reject t ev;
              [])
@@ -452,35 +455,36 @@ let measure_top t scored =
   let g = t.tally in
   let keyed =
     List.map
-      (fun ((_, (_, _, _, fp, _, _)) as sc) ->
+      (fun ((_, (_, _, _, fp, _, _, _)) as sc) ->
         (t.key_prefix ^ "prog#" ^ Tir_ir.Fingerprint.to_hex fp, sc))
       scored
   in
   let distinct_tbl = Hashtbl.create 16 in
   let distinct =
     List.filter_map
-      (fun (key, (_, (_, _, func, _, _, _))) ->
+      (fun (key, (_, (_, _, func, _, _, nests, _))) ->
         if Hashtbl.mem distinct_tbl key then None
         else begin
           Hashtbl.add distinct_tbl key ();
-          Some (key, func)
+          Some (key, func, nests)
         end)
       keyed
   in
   let probes =
     Pool.parallel_map_list t.pool
-      (fun (key, func) ->
-        (* the program fingerprint is the candidate identity on the trace *)
+      (fun (key, func, nests) ->
+        (* the program fingerprint is the candidate identity on the trace;
+           the measurement prices the tallies the features walked *)
         Tir_obs.Trace.with_ctx ~candidate:key (fun () ->
             Tir_obs.Trace.with_span "measure" (fun () ->
-                Eval.measure_cached ~key ~target:t.target func)))
+                Eval.measure_cached ~key ~target:t.target ~nests func)))
       distinct
   in
   let by_key = Hashtbl.create 16 in
-  List.iter2 (fun (key, _) r -> Hashtbl.replace by_key key r) distinct probes;
+  List.iter2 (fun (key, _, _) r -> Hashtbl.replace by_key key r) distinct probes;
   let seen_in_batch = Hashtbl.create 16 in
   List.iter
-    (fun (key, (score, ((sk : Sketch.t), origin, func, _, features, trace))) ->
+    (fun (key, (score, ((sk : Sketch.t), origin, func, _, features, _, trace))) ->
       let hit, outcome =
         if Hashtbl.mem seen_in_batch key then
           (true, snd (Hashtbl.find by_key key))
@@ -658,10 +662,9 @@ let create ?(use_cost_model = true) ?(evolve = true) ?model ?group ?pool
           t.stats.trials <- t.stats.trials + 1;
           consider t m)
         r.r_measured;
-      (* The model refits on the full dataset every round, so one retrain
-         after the replayed adds reproduces the live run's model state at
-         this generation boundary exactly. *)
-      if r.r_measured <> [] then Model.retrain t.model;
+      (* The model fits on the full dataset when it is next read, so the
+         replayed adds leave it as the live run left it at this
+         generation boundary. *)
       t.stats.trials <- r.r_stats.trials;
       t.stats.proposed <- r.r_stats.proposed;
       t.stats.invalid <- r.r_stats.invalid;
@@ -731,7 +734,6 @@ let step t =
         in
         t.tally.g_unchecked <- unchecked;
         measure_top t top;
-        Tir_obs.Trace.with_span "model.retrain" (fun () -> Model.retrain t.model);
         let g = t.gen in
         finish_generation t;
         ( t,

@@ -3,9 +3,9 @@
     The search loop as an explicit state machine: {!create} builds the
     search state, {!step} advances it by exactly one generation (proposal
     fan-out, preparation, ranking, checks of the top-ranked candidates,
-    measurement, cost-model retrain, metrics/trace/checkpoint flush). One
-    [step] is the atomic unit of work — everything a generation writes is
-    committed before [step] returns, so drivers that interleave many engines on one pool
+    measurement, metrics/trace/checkpoint flush). One [step] is the
+    atomic unit of work — everything a generation writes is committed
+    before [step] returns, so drivers that interleave many engines on one pool
     ([Tir_service.Scheduler]) get preemption at generation boundaries for
     free, with per-tenant kill/resume bit-identity preserved.
 
@@ -144,8 +144,11 @@ val create :
     unsound, unchecked (ranked below the measurement cut: never checked,
     or, without a cost model, checked and passed), measured and
     unmeasurable. Spans: [engine.step], with [evaluate] per prepared
-    candidate, [eval.check] per checked one, [engine.score], [measure]
-    and [model.retrain] under it. The counts are accumulated in the
+    candidate, [eval.check] per checked one, [engine.score], and
+    [measure] per distinct measured program under it. [model.retrain]
+    sits under [engine.score] when the model refits on samples it has
+    not fitted yet; the last batch of a search is fitted only if
+    something reads the model later. The counts are accumulated in the
     sequential slot-order reduce, so they are bit-identical at any job
     count. *)
 val step : t -> t * event

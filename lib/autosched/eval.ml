@@ -37,6 +37,9 @@ type evaluation =
               component of measurement memo keys, shared between search
               and database replay *)
       features : float array;
+      nests : Tir_sim.Machine.tally list;
+          (** the per-nest tallies [features] were computed from, which
+              the measurement prices without walking [func] again *)
       trace : Tir_sched.Trace.t;
           (** the schedule's instruction trace — carried to [measured]
               results and into database records for sketch-free replay *)
@@ -57,6 +60,7 @@ type measurement =
 type ready = {
   r_func : Tir_ir.Primfunc.t;
   r_features : float array;
+  r_nests : Tir_sim.Machine.tally list;
   r_trace : Tir_sched.Trace.t;
   lock : Mutex.t;
   mutable verdict : evaluation option;  (** guarded by [lock] *)
@@ -133,12 +137,17 @@ let prepare ~target (sk : Sketch.t) (d : Space.decisions) : prepared =
     | exception Tir_sched.State.Schedule_error _ -> Rejected Inapplicable
     | sch -> (
         let f = Tir_sched.Schedule.func sch in
-        match Tir_obs.Trace.with_span "eval.features" (fun () -> Features.extract target f) with
-        | features ->
+        match
+          Tir_obs.Trace.with_span "eval.features" (fun () ->
+              let nests = Tir_sim.Machine.walk target f in
+              (nests, Features.of_nests target f nests))
+        with
+        | nests, features ->
             Ready
               {
                 r_func = f;
                 r_features = features;
+                r_nests = nests;
                 r_trace = Tir_sched.Schedule.instructions sch;
                 lock = Mutex.create ();
                 verdict = None;
@@ -167,6 +176,7 @@ let check r =
                     func = r.r_func;
                     fp = Tir_ir.Fingerprint.func r.r_func;
                     features = r.r_features;
+                    nests = r.r_nests;
                     trace = r.r_trace;
                   }
           in
@@ -190,13 +200,14 @@ let evaluate_naive ~target (sk : Sketch.t) (d : Space.decisions) : evaluation =
       | _ :: _ -> Invalid
       | [] when Tir_analysis.Analysis.errors f <> [] -> Unsound
       | [] -> (
-          match Features.extract target f with
-          | features ->
+          match Tir_sim.Machine.walk target f with
+          | nests ->
               Evaluated
                 {
                   func = f;
                   fp = Tir_ir.Fingerprint.func f;
-                  features;
+                  features = Features.of_nests target f nests;
+                  nests;
                   trace = Tir_sched.Schedule.instructions sch;
                 }
           | exception Tir_sim.Machine.Unsupported _ -> Unsupported))
@@ -210,7 +221,9 @@ let evaluate_cached ~key ~target sk d =
   let hit, p = prepare_cached ~key ~target sk d in
   (hit, settle p)
 
-(** Memoized measurement; returns [(cache_hit, outcome)].
+(** Memoized measurement; returns [(cache_hit, outcome)]. A miss prices
+    [nests] when the caller has them (the search's [Evaluated] carries
+    them), and walks [f] otherwise (database replay).
 
     Fault handling: when injection is configured for the [Measure] site,
     each attempt passes a per-attempt fault key to the simulator and
@@ -219,17 +232,20 @@ let evaluate_cached ~key ~target sk d =
     removes its pending marker on a raise — so an exhausted candidate is
     reported [Unmeasurable] {e without being cached}: it never poisons
     the memo for a later run with different fault configuration. *)
-let measure_cached ~key ~target f =
+let measure_cached ~key ~target ?nests f =
+  let measure ?fault_key () =
+    match nests with
+    | Some nests -> Tir_sim.Machine.price ?fault_key target nests
+    | None -> Tir_sim.Machine.measure_us ?fault_key target f
+  in
   match
     Memo.find_or_add measure_cache key (fun () ->
         match
           if Tir_core.Fault.enabled Tir_core.Fault.Measure then
             Tir_parallel.Retry.with_retries ~site:"measure" ~key
               (fun ~attempt ->
-                Tir_sim.Machine.measure_us
-                  ~fault_key:(Printf.sprintf "%s@%d" key attempt)
-                  target f)
-          else Tir_sim.Machine.measure_us target f
+                measure ~fault_key:(Printf.sprintf "%s@%d" key attempt) ())
+          else measure ()
         with
         | latency_us -> Measured latency_us
         | exception Tir_sim.Machine.Unsupported _ -> Unsupported_target)

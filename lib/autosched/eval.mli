@@ -27,6 +27,9 @@ type evaluation =
               component of measurement memo keys, shared between search
               and database replay *)
       features : float array;
+      nests : Tir_sim.Machine.tally list;
+          (** the per-nest tallies ([Tir_sim.Machine.walk]) [features]
+              were computed from; {!measure_cached} prices them *)
       trace : Tir_sched.Trace.t;
           (** the schedule's instruction trace — carried to [measured]
               results and into database records for sketch-free replay *)
@@ -44,12 +47,14 @@ type prepared = Rejected of evaluation | Ready of ready
 
 (** The first half of the pipeline: knob pre-filter ([Sketch.rejects],
     rejecting provably inapplicable vectors before any program is
-    materialized), cached sketch application, feature extraction. A
-    program the machine model cannot run is [Rejected Unsupported]
-    without being checked. When feature extraction raises anything else,
-    the program is checked at once: a failing program is [Rejected] with
-    the checks' verdict ([Invalid] or [Unsound]), and the exception is
-    re-raised if it passes. Spans: [eval.apply], [eval.features]. *)
+    materialized), cached sketch application, feature extraction from
+    one machine-model walk, whose per-nest tallies the candidate keeps
+    for its measurement. A program the machine model cannot run is
+    [Rejected Unsupported] without being checked. When feature
+    extraction raises anything else, the program is checked at once: a
+    failing program is [Rejected] with the checks' verdict ([Invalid] or
+    [Unsound]), and the exception is re-raised if it passes. Spans:
+    [eval.apply], [eval.features]. *)
 val prepare : target:Tir_sim.Target.t -> Sketch.t -> Space.decisions -> prepared
 
 (** Memoized {!prepare} in the eval memo; returns [(cache_hit, outcome)]. *)
@@ -100,11 +105,15 @@ type measurement =
           never cached. *)
 
 (** Memoized machine-model measurement; returns [(cache_hit, outcome)].
+    A miss prices [nests], the per-nest tallies of [func] that
+    {!prepare} walked ([Tir_sim.Machine.price]), or, without them, walks
+    and prices [func] ([Tir_sim.Machine.measure_us]; database replay).
     Injected faults (site [Measure] of [Tir_core.Fault]) are retried
     through {!Tir_parallel.Retry.with_retries}. *)
 val measure_cached :
   key:string ->
   target:Tir_sim.Target.t ->
+  ?nests:Tir_sim.Machine.tally list ->
   Tir_ir.Primfunc.t ->
   bool * measurement
 

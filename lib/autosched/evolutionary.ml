@@ -2,9 +2,10 @@
 
     The search itself lives in {!Engine} — an explicit state machine where
     one [Engine.step] runs one generation (proposal fan-out, evaluation,
-    ranked measurement, cost-model retrain, metrics/trace/checkpoint
-    flush). This module re-exports the engine's types under their
-    historical names; [Tune] and [Tir_service.Session] drive the engine.
+    ranking by a cost model fitted on read, measurement,
+    metrics/trace/checkpoint flush). This module re-exports the engine's
+    types under their historical names; [Tune] and [Tir_service.Session]
+    drive the engine.
 
     All determinism properties are the engine's: generation randomness
     derives from [(seed, gen)] only, pool fan-outs reduce in slot order,

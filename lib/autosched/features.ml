@@ -12,8 +12,8 @@ let dim = 18
 
 let log1 x = Float.log (1.0 +. Float.max 0.0 x)
 
-let extract (target : Tir_sim.Target.t) (f : Primfunc.t) : float array =
-  let t = Tir_sim.Machine.tally_func target f in
+let of_nests (target : Tir_sim.Target.t) (f : Primfunc.t) nests : float array =
+  let t = Tir_sim.Machine.sum nests in
   let blocks = Primfunc.blocks f in
   let n_blocks = float_of_int (List.length blocks) in
   let tensorized =
@@ -52,3 +52,5 @@ let extract (target : Tir_sim.Target.t) (f : Primfunc.t) : float array =
     Float.min 1.0
       (float_of_int t.threadidx /. float_of_int target.Tir_sim.Target.full_occupancy_threads);
   |]
+
+let extract target f = of_nests target f (Tir_sim.Machine.walk target f)

@@ -63,6 +63,7 @@ type t = {
   mutable group_count : int array;  (** id -> samples in the group *)
   mutable n_groups : int;
   mutable model : Gbdt.t option;
+  mutable fitted : int;  (** samples the last fit saw *)
 }
 
 let initial_capacity = 64
@@ -79,6 +80,7 @@ let gbdt () =
     group_count = Array.make 8 0;
     n_groups = 0;
     model = None;
+    fitted = 0;
   }
 
 let group_id t name =
@@ -132,15 +134,26 @@ let retrain t =
        best — in (0, 1], scale-free across tasks. *)
     let ys = Array.init t.n (fun i -> t.group_best.(t.grps.(i)) /. t.lats.(i)) in
     let groups = Array.sub t.grps 0 t.n in
-    t.model <- Some (Gbdt.fit_rank xs ys ~groups)
+    t.model <- Some (Gbdt.fit_rank xs ys ~groups);
+    t.fitted <- t.n
   end
 
+(* Fit on read: the readers refit first when samples were added since
+   the last fit. The ensemble is a function of the ordered samples, so
+   this is the model an eager refit after every batch of adds would
+   hold; a batch that nothing reads is never fitted, and adds refused at
+   the group cap leave the ensemble as it is. *)
+let refresh t =
+  if t.n > t.fitted then Tir_obs.Trace.with_span "model.retrain" (fun () -> retrain t)
+
 let score t features =
+  refresh t;
   match t.model with
   | Some m -> Gbdt.predict m (transform features)
   | None -> prior features
 
 let score_batch t (rows : float array array) =
+  refresh t;
   match t.model with
   | Some m -> Gbdt.predict_batch m (Array.map transform rows)
   | None -> Array.map prior rows
@@ -151,7 +164,10 @@ let iter_samples t f =
       ~latency_us:t.lats.(i)
   done
 
+(* A model without an ensemble (a store merge, or a search that never
+   scored after measuring) saves its samples only. *)
 let save t =
+  if t.model <> None then refresh t;
   let b = Buffer.create 4096 in
   Buffer.add_string b (header ^ "\n");
   for i = 0 to t.n - 1 do
@@ -198,6 +214,8 @@ let load s =
             | exception Gbdt.Parse_error e -> parse_fail "model: %s" e)
         | _ -> parse_fail "model: bad line %S" line)
     lines;
+  (* A stored ensemble counts as the fit of the stored samples. *)
+  if t.model <> None then t.fitted <- t.n;
   t
 
 let stats t =

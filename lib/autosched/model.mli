@@ -29,15 +29,20 @@ val gbdt : unit -> t
     within a group). *)
 val add : t -> group:string -> features:float array -> latency_us:float -> unit
 
-(** Refit the ensemble on every sample. *)
+(** The explicit fit: refit the ensemble on every sample, whether or
+    not any were added since the last fit. The readers need no call to
+    it: [score], [score_batch], and [save] of a model that holds an
+    ensemble fit first when samples were added since the last fit (a
+    [model.retrain] span), and {!Store.load} fits once. Adds refused at
+    the group cap change nothing, so they never cause a fit. *)
 val retrain : t -> unit
 
-(** Rank a feature vector (higher = predicted faster). Before the first
-    [retrain] this is an analytic prior that prefers tensorized,
-    high-occupancy programs. *)
+(** Rank a feature vector (higher = predicted faster), after fitting the
+    samples added since the last fit. A model with no samples scores by
+    an analytic prior that prefers tensorized, high-occupancy programs. *)
 val score : t -> float array -> float
 
-(** Same values as mapping [score]; one ensemble pass. *)
+(** Same values as mapping [score]; one fit check, one ensemble pass. *)
 val score_batch : t -> float array array -> float array
 
 (** Visit every sample in insertion order (the store's merge path). *)
@@ -45,12 +50,15 @@ val iter_samples :
   t -> (group:string -> features:float array -> latency_us:float -> unit) -> unit
 
 (** Serialized snapshot (versioned, percent-escaped text; [%h] floats):
-    the full sample set plus the fitted ensemble, if any.
-    [save -> load -> save] is bit-identical, and a loaded model can keep
-    training. *)
+    the full sample set plus the fitted ensemble, if any. A model that
+    holds an ensemble fits the samples added since its last fit first; a
+    model without one (a store merge) saves its samples only, without
+    fitting. [save -> load -> save] is bit-identical, and a loaded model
+    can keep training. *)
 val save : t -> string
 
-(** Inverse of [save]. Raises {!Parse_error} on malformed input. *)
+(** Inverse of [save]; a loaded ensemble counts as the fit of the loaded
+    samples. Raises {!Parse_error} on malformed input. *)
 val load : string -> t
 
 val stats : t -> stats

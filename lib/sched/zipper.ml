@@ -37,46 +37,75 @@ let rebuild_frame frame child =
 (** Rebuild the full tree from a path and the subtree at its focus. *)
 let rebuild (path : path) subtree = List.fold_left (fun s f -> rebuild_frame f s) subtree path
 
+(* The statements of [stmts] before its tail [rest], last first. *)
+let rev_prefix stmts rest =
+  let rec go acc = function
+    | l when l == rest -> acc
+    | x :: l -> go (x :: acc) l
+    | [] -> acc
+  in
+  go [] stmts
+
+(* [search pred s]: the first (pre-order) subtree of [s] satisfying
+   [pred], with the frames from [s] down to it, outermost first. Each
+   frame is built on the way out of the subtree that matched, so the
+   search allocates nothing for the statements it passes over. *)
+let rec search pred s =
+  if pred s then Some ([], s)
+  else
+    match s with
+    | Stmt.For r -> (
+        match search pred r.body with
+        | Some (fs, m) ->
+            let frame =
+              F_for
+                {
+                  loop_var = r.loop_var;
+                  extent = r.extent;
+                  kind = r.kind;
+                  annotations = r.annotations;
+                }
+            in
+            Some (frame :: fs, m)
+        | None -> None)
+    | Stmt.Block br -> (
+        let in_init =
+          match br.block.init with Some init -> search pred init | None -> None
+        in
+        match in_init with
+        | Some (fs, m) -> Some (F_block_init br :: fs, m)
+        | None -> (
+            match search pred br.block.body with
+            | Some (fs, m) -> Some (F_block_body br :: fs, m)
+            | None -> None))
+    | Stmt.Seq ss -> search_seq pred ss ss
+    | Stmt.If (c, t, e) -> (
+        match search pred t with
+        | Some (fs, m) -> Some (F_if_then (c, e) :: fs, m)
+        | None -> (
+            match e with
+            | Some e' -> (
+                match search pred e' with
+                | Some (fs, m) -> Some (F_if_else (c, t) :: fs, m)
+                | None -> None)
+            | None -> None))
+    | Stmt.Store _ | Stmt.Eval _ -> None
+
+(* [search] over the elements of [rest], a tail of the sequence [ss]. *)
+and search_seq pred ss rest =
+  match rest with
+  | [] -> None
+  | x :: after -> (
+      match search pred x with
+      | Some (fs, m) -> Some (F_seq (rev_prefix ss rest, after) :: fs, m)
+      | None -> search_seq pred ss after)
+
 (** Find the first (pre-order) subtree satisfying [pred]. Returns the path
     (innermost frame first) and the subtree. *)
 let find pred stmt =
-  let exception Found of path * Stmt.t in
-  let rec go path s =
-    if pred s then raise (Found (path, s));
-    match s with
-    | Stmt.For r ->
-        go
-          (F_for
-             {
-               loop_var = r.loop_var;
-               extent = r.extent;
-               kind = r.kind;
-               annotations = r.annotations;
-             }
-          :: path)
-          r.body
-    | Stmt.Block br ->
-        (match br.block.init with
-        | Some init -> go (F_block_init br :: path) init
-        | None -> ());
-        go (F_block_body br :: path) br.block.body
-    | Stmt.Seq ss ->
-        let rec walk rev_before = function
-          | [] -> ()
-          | x :: after ->
-              go (F_seq (rev_before, after) :: path) x;
-              walk (x :: rev_before) after
-        in
-        walk [] ss
-    | Stmt.If (c, t, e) ->
-        go (F_if_then (c, e) :: path) t;
-        Option.iter (fun e' -> go (F_if_else (c, t) :: path) e') e
-    | Stmt.Store _ | Stmt.Eval _ -> ()
-  in
-  try
-    go [] stmt;
-    None
-  with Found (p, s) -> Some (p, s)
+  match search pred stmt with
+  | Some (outer_first, m) -> Some (List.rev outer_first, m)
+  | None -> None
 
 let find_loop stmt v =
   find

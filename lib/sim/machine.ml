@@ -329,6 +329,12 @@ let tally_of_nest target (s : Stmt.t) =
     s;
   t
 
+(** Per-nest tallies of the root-level nests, in program order. *)
+let walk target (f : Primfunc.t) =
+  let root = Primfunc.root_block f in
+  let nests = match root.Stmt.body with Stmt.Seq ss -> ss | s -> [ s ] in
+  List.map (tally_of_nest target) nests
+
 let clampf lo hi x = Float.max lo (Float.min hi x)
 
 (* Latency of one root-level nest, in microseconds. *)
@@ -378,7 +384,7 @@ let nest_latency_us target (t : tally) =
    every measured program. Integer-valued (bytes rounded per measurement),
    so the totals are order-independent and bit-identical at any job count
    even though measurements run on pool domains — and they are only bumped
-   inside [measure_us], which the tuner reaches through the measurement
+   inside [price], which the tuner reaches through the measurement
    memo, so a deterministic search executes the same set of simulations
    regardless of parallelism. [sim.bytes.*] per scope is the data the
    paper's "data movement dominates" claim is made from. *)
@@ -413,11 +419,13 @@ let record_tally (t : tally) =
   Tir_obs.Metrics.observe h_bytes_shared t.bytes_shared;
   Tir_obs.Metrics.observe h_bytes_local t.bytes_local
 
-(** Measured latency of a whole function, in microseconds. Root-level nests
-    execute sequentially (separate kernels on GPU). Raises [Unsupported] if
-    the program tensorizes with an intrinsic the target lacks. Each call
-    also feeds the simulated-program counters ([sim.*]) in the metrics
-    registry.
+let maybe_fail fault_key =
+  Option.iter (fun key -> Tir_core.Fault.maybe_fail Tir_core.Fault.Measure ~key) fault_key
+
+(** Latency of a whole function from its per-nest tallies ([walk]), in
+    microseconds. Root-level nests execute sequentially (separate kernels
+    on GPU), each paying the launch overhead. Each call also feeds the
+    simulated-program counters ([sim.*]) in the metrics registry.
 
     [fault_key] opts the call into fault injection: when the harness is
     configured ([Tir_core.Fault]) and the keyed decision for
@@ -425,31 +433,29 @@ let record_tally (t : tally) =
     [Tir_core.Fault.Injected] {e before} touching any counter — a lost
     measurement leaves no partial state behind. Retrying callers vary the
     key per attempt. *)
-let measure_us ?fault_key target (f : Primfunc.t) =
-  (match fault_key with
-  | Some key -> Tir_core.Fault.maybe_fail Tir_core.Fault.Measure ~key
-  | None -> ());
-  let root = Primfunc.root_block f in
-  let nests = match root.Stmt.body with Stmt.Seq ss -> ss | s -> [ s ] in
+let price ?fault_key target nests =
+  maybe_fail fault_key;
   Tir_obs.Metrics.incr m_measurements;
   Tir_obs.Metrics.add m_nests (List.length nests);
   List.fold_left
-    (fun acc nest ->
-      let t = tally_of_nest target nest in
+    (fun acc t ->
       record_tally t;
       acc +. nest_latency_us target t)
     0.0 nests
 
-(** Aggregate tally for the whole function (feature extraction): work and
+(** [price] of [walk]: a fault fires before the walk, and [Unsupported]
+    is raised by the walk, before any counter moves. *)
+let measure_us ?fault_key target (f : Primfunc.t) =
+  maybe_fail fault_key;
+  price target (walk target f)
+
+(** Aggregate tally of a function's nests (feature extraction): work and
     traffic sum across root-level nests; parallelism shape takes the
     maximum (nests are separate kernels, not multiplied). *)
-let tally_func target (f : Primfunc.t) =
-  let root = Primfunc.root_block f in
-  let nests = match root.Stmt.body with Stmt.Seq ss -> ss | s -> [ s ] in
+let sum nests =
   let acc = new_tally () in
   List.iter
-    (fun nest ->
-      let t = tally_of_nest target nest in
+    (fun t ->
       acc.scalar_ops <- acc.scalar_ops +. t.scalar_ops;
       acc.special_ops <- acc.special_ops +. t.special_ops;
       acc.tensor_flops <- acc.tensor_flops +. t.tensor_flops;

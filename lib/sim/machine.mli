@@ -34,27 +34,30 @@ type tally = {
 
 val new_tally : unit -> tally
 
-(** Work/traffic/parallelism of one root-level nest. *)
-val tally_of_nest : Target.t -> Stmt.t -> tally
+(** Work/traffic/parallelism of each root-level nest, in program order.
+    Raises [Unsupported] if the program tensorizes with an intrinsic the
+    target lacks. Feeds no counter. *)
+val walk : Target.t -> Primfunc.t -> tally list
 
-(** Latency of one nest, in microseconds. *)
-val nest_latency_us : Target.t -> tally -> float
+(** Whole-function tally for feature extraction: work sums across the
+    nests of a [walk], parallelism takes the maximum. *)
+val sum : tally list -> tally
 
-(** Latency of a whole function in microseconds (root nests execute
-    sequentially, each paying the launch overhead). Each call feeds the
-    simulated-program counters in the metrics registry ([sim.measurements],
-    [sim.blocks_visited], [sim.tensorized_ops] vs [sim.scalar_ops],
-    [sim.bytes.{global,shared,local}], ...) — integer-valued, so totals are
-    bit-identical at any job count for a deterministic search.
+(** Latency of a whole function from the per-nest tallies of its [walk],
+    in microseconds (root nests execute sequentially, each paying the
+    launch overhead). Each call feeds the simulated-program counters in
+    the metrics registry ([sim.measurements], [sim.blocks_visited],
+    [sim.tensorized_ops] vs [sim.scalar_ops], [sim.bytes.{global,shared,local}],
+    the [sim.bytes_per_nest.*] histograms, ...) — integer-valued, so
+    totals are bit-identical at any job count for a deterministic search.
 
     [fault_key] opts the call into the deterministic fault-injection
     harness ([Tir_core.Fault], site [Measure]): when the keyed decision
     for the given key fires, the call raises [Tir_core.Fault.Injected]
     before touching any counter. Retrying callers vary the key per
     attempt. *)
-val measure_us : ?fault_key:string -> Target.t -> Primfunc.t -> float
+val price : ?fault_key:string -> Target.t -> tally list -> float
 
-(** Whole-function tally for feature extraction: work sums across nests,
-    parallelism takes the maximum. Unlike [measure_us], it feeds no
-    counter. *)
-val tally_func : Target.t -> Primfunc.t -> tally
+(** [price] of [walk]. A fault fires before the walk, and the walk
+    raises [Unsupported] before any counter moves. *)
+val measure_us : ?fault_key:string -> Target.t -> Primfunc.t -> float

@@ -152,9 +152,14 @@ let small_gmm () =
   W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128
     ~k:128 ()
 
+let has_ensemble text =
+  List.exists (String.starts_with ~prefix:"gbdt|") (String.split_on_char '\n' text)
+
+(* Two generations, so the model holds an ensemble: the second scores
+   with a fit of the first's samples. *)
 let tune_model ~jobs =
   Tir_autosched.Eval.clear_caches ();
-  let r = Util.tune ~seed:11 ~trials:12 ~jobs gpu (small_gmm ()) in
+  let r = Util.tune ~seed:11 ~trials:24 ~jobs gpu (small_gmm ()) in
   match r.Tune.model with
   | Some m -> m
   | None -> Alcotest.fail "tuning returned no model"
@@ -166,6 +171,7 @@ let test_tuned_model_save_jobs_identical () =
   let s4 = Model.save (tune_model ~jobs:4) in
   Alcotest.(check bool) "snapshot has samples" true
     (String.length s1 > 100);
+  Alcotest.(check bool) "snapshot has an ensemble" true (has_ensemble s1);
   Alcotest.(check string) "jobs=1 = jobs=4" s1 s4
 
 (* --- golden trainer digests ---------------------------------------------- *)
@@ -394,6 +400,113 @@ let test_full_disk_save_raises () =
   let db = Tir_autosched.Database.create () in
   check_save "database" "db.txt" (Tir_autosched.Database.save db)
 
+(* --- fit on read ----------------------------------------------------------- *)
+
+(* Run [f] traced; [f] gets a function that counts the [model.retrain]
+   spans (fits on read) recorded so far. *)
+let with_fit_count f =
+  let module Trace = Tir_obs.Trace in
+  Trace.enable ();
+  Trace.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+    (fun () ->
+      f (fun () ->
+          List.length
+            (List.filter
+               (fun e -> String.equal e.Trace.e_name "model.retrain")
+               (Trace.events ()))))
+
+(* Two generations of 16: the second scores with a fit of the first's
+   samples, and nothing reads the model after the second measures. *)
+let test_search_fits_once () =
+  with_fit_count @@ fun fits ->
+  Tir_autosched.Eval.clear_caches ();
+  let r = Util.tune ~seed:5 ~trials:32 gpu (small_gmm ()) in
+  let steps =
+    List.length
+      (List.filter
+         (fun e -> String.equal e.Tir_obs.Trace.e_name "engine.step")
+         (Tir_obs.Trace.events ()))
+  in
+  Alcotest.(check int) "32 trials" 32 r.Tune.stats.Tir_autosched.Evolutionary.trials;
+  Alcotest.(check int) "two generations" 2 steps;
+  Alcotest.(check int) "one fit" 1 (fits ())
+
+let test_warm_model_fits_on_new_samples () =
+  with_fit_count @@ fun fits ->
+  let warm = Model.of_spec (Model.Warm (Model.save (trained_model ()))) in
+  ignore (Model.score warm (feat 3.0));
+  Alcotest.(check int) "no fit at the first score" 0 (fits ());
+  Model.add warm ~group:"C" ~features:(feat 2.0) ~latency_us:4.0;
+  ignore (Model.score warm (feat 3.0));
+  Alcotest.(check int) "a fit once a sample is added" 1 (fits ())
+
+(* Adds refused at the group cap change no sample, so nothing refits. *)
+let test_capped_group_keeps_ensemble () =
+  with_fit_count @@ fun fits ->
+  let m = Model.gbdt () in
+  let add i =
+    let x = float_of_int i in
+    Model.add m ~group:"A" ~features:(feat x) ~latency_us:(1000.0 /. (1.0 +. x))
+  in
+  for i = 0 to 511 do
+    add i
+  done;
+  let rows = Array.init 8 (fun i -> feat (float_of_int i)) in
+  let first = Model.score_batch m rows in
+  Alcotest.(check int) "fit at the first read" 1 (fits ());
+  let saved = Model.save m in
+  Alcotest.(check bool) "saved with its ensemble" true (has_ensemble saved);
+  for i = 512 to 540 do
+    add i
+  done;
+  Alcotest.(check int) "the cap holds" 512 (Model.stats m).Model.samples;
+  Alcotest.(check (array (float 0.0))) "same scores" first (Model.score_batch m rows);
+  Alcotest.(check int) "no refit" 1 (fits ());
+  Alcotest.(check string) "same bytes" saved (Model.save m)
+
+(* [save] of a model that holds an ensemble fits the samples added since
+   its last fit: the bytes an explicit retrain before the save gives. *)
+let test_save_fits_added_samples () =
+  let extra m =
+    for i = 1 to 5 do
+      Model.add m ~group:"C" ~features:(feat ~f1:2.0 (float_of_int i))
+        ~latency_us:(float_of_int (10 * i))
+    done
+  in
+  let eager = trained_model () in
+  extra eager;
+  Model.retrain eager;
+  let want = Model.save eager in
+  with_fit_count @@ fun fits ->
+  let lazy_ = trained_model () in
+  extra lazy_;
+  Alcotest.(check string) "save = retrain then save" want (Model.save lazy_);
+  Alcotest.(check int) "one fit, in the save" 1 (fits ())
+
+(* A store merge holds samples only: it saves them without fitting, and
+   fits once something scores with it. *)
+let test_merged_model_saves_samples_only () =
+  with_tmp_dir @@ fun dir ->
+  let path = Filename.concat dir "model.txt" in
+  let m = Model.gbdt () in
+  for i = 1 to 20 do
+    let x = float_of_int i in
+    Model.add m ~group:"A" ~features:(feat x) ~latency_us:(100.0 /. x)
+  done;
+  with_fit_count @@ fun fits ->
+  let merged = Model.Store.absorb ~path m in
+  Alcotest.(check bool) "merge saves no ensemble" false (has_ensemble (Model.save merged));
+  Alcotest.(check bool) "store file holds no ensemble" false
+    (has_ensemble (In_channel.with_open_bin path In_channel.input_all));
+  Alcotest.(check int) "no fit" 0 (fits ());
+  ignore (Model.score merged (feat 1.0));
+  Alcotest.(check int) "a fit at the first score" 1 (fits ());
+  Alcotest.(check bool) "then saves its ensemble" true (has_ensemble (Model.save merged))
+
 let suite =
   [
     Alcotest.test_case "monotone data: spearman > 0.9" `Quick
@@ -415,4 +528,14 @@ let suite =
       test_warm_spec_restores_model;
     Alcotest.test_case "save on a full disk raises, keeps the old file" `Quick
       test_full_disk_save_raises;
+    Alcotest.test_case "fit on read: a 32-trial search fits once" `Quick
+      test_search_fits_once;
+    Alcotest.test_case "fit on read: warm model fits only new samples" `Quick
+      test_warm_model_fits_on_new_samples;
+    Alcotest.test_case "fit on read: capped group keeps its ensemble" `Quick
+      test_capped_group_keeps_ensemble;
+    Alcotest.test_case "fit on read: save fits added samples" `Quick
+      test_save_fits_added_samples;
+    Alcotest.test_case "fit on read: store merge saves samples only" `Quick
+      test_merged_model_saves_samples_only;
   ]

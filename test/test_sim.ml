@@ -136,11 +136,67 @@ let test_determinism () =
 
 let test_tally_shape () =
   let f = Util.matmul ~m:32 ~n:32 ~k:32 () in
-  let t = M.tally_func gpu f in
+  let t = M.sum (M.walk gpu f) in
   (* 32^3 multiply-accumulate = 2 ops each plus loads. *)
   Alcotest.(check bool) "scalar ops counted" true (t.M.scalar_ops >= 2.0 *. 32768.0);
   Alcotest.(check bool) "global traffic counted" true (t.M.bytes_global > 0.0);
   Alcotest.(check bool) "no tensor flops" true (t.M.tensor_flops = 0.0)
+
+(* The sim.* counters and every bucket of the sim.* histograms. *)
+let sim_state () =
+  let s = Tir_obs.Metrics.snapshot () in
+  let sim name = String.starts_with ~prefix:"sim." name in
+  ( List.filter (fun (n, _) -> sim n) s.Tir_obs.Metrics.counters,
+    List.filter_map
+      (fun (n, (h : Tir_obs.Metrics.hist_snapshot)) ->
+        if sim n then Some (n, Array.to_list h.counts) else None)
+      s.Tir_obs.Metrics.histograms )
+
+(* [f ()] and how far it moved each sim.* counter and histogram bucket. *)
+let moved f =
+  let c0, h0 = sim_state () in
+  let v = f () in
+  let c1, h1 = sim_state () in
+  let before l n = Option.value ~default:[] (List.assoc_opt n l) in
+  ( v,
+    List.map (fun (n, x) -> (n, x - Option.value ~default:0 (List.assoc_opt n c0))) c1,
+    List.map
+      (fun (n, xs) ->
+        let b = before h0 n in
+        (n, List.mapi (fun i x -> x - Option.value ~default:0 (List.nth_opt b i)) xs))
+      h1 )
+
+let bits = Array.map Int64.bits_of_float
+
+(* One walk per candidate: pricing the per-nest tallies a prepared
+   candidate carries gives [measure_us]'s latency bit for bit and moves
+   the same counters and buckets, and the features computed from them are
+   [Features.extract]'s. Every sketch program, evaluated for both
+   targets. *)
+let test_prepared_tallies_price_like_measure () =
+  let priced = ref 0 in
+  List.iter
+    (fun (_, sk, d) ->
+      List.iter
+        (fun target ->
+          match Tir_autosched.Eval.evaluate ~target sk d with
+          | Tir_autosched.Eval.Evaluated { func; features; nests; _ } ->
+              incr priced;
+              let us, counters, hists = moved (fun () -> M.price target nests) in
+              let us', counters', hists' = moved (fun () -> M.measure_us target func) in
+              Alcotest.(check int64) "latency bits" (Int64.bits_of_float us')
+                (Int64.bits_of_float us);
+              Alcotest.(check (list (pair string int))) "sim counters" counters' counters;
+              Alcotest.(check (list (pair string (list int)))) "sim histograms" hists' hists;
+              Alcotest.(check int) "one measurement" 1
+                (List.assoc "sim.measurements" counters);
+              Alcotest.(check (array int64)) "features"
+                (bits (Tir_autosched.Features.extract target func))
+                (bits features)
+          | _ -> ())
+        [ gpu; cpu ])
+    (Util.sketch_programs ());
+  Alcotest.(check bool) "priced" true (!priced >= 50)
 
 let suite =
   [
@@ -152,4 +208,6 @@ let suite =
     ("software pipelining discount", `Quick, test_pipelining_discount);
     ("deterministic measurement", `Quick, test_determinism);
     ("tally accounting", `Quick, test_tally_shape);
+    ("prepared tallies price like measure_us", `Quick,
+      test_prepared_tallies_price_like_measure);
   ]

@@ -62,10 +62,100 @@ let test_ranges_include_iter_vars () =
       Alcotest.(check bool) "iter vars in scope" true (Var.Map.cardinal ranges >= 6)
   | None -> Alcotest.fail "no store"
 
+(* The search [Z.find] replaced: it builds a frame for every statement it
+   visits and raises at the first match. [Z.find] must agree with it. *)
+let reference_find pred stmt =
+  let exception Found of Z.path * Stmt.t in
+  let rec go path s =
+    if pred s then raise (Found (path, s));
+    match s with
+    | Stmt.For r ->
+        go
+          (Z.F_for
+             {
+               loop_var = r.loop_var;
+               extent = r.extent;
+               kind = r.kind;
+               annotations = r.annotations;
+             }
+          :: path)
+          r.body
+    | Stmt.Block br ->
+        (match br.block.init with
+        | Some init -> go (Z.F_block_init br :: path) init
+        | None -> ());
+        go (Z.F_block_body br :: path) br.block.body
+    | Stmt.Seq ss ->
+        let rec walk rev_before = function
+          | [] -> ()
+          | x :: after ->
+              go (Z.F_seq (rev_before, after) :: path) x;
+              walk (x :: rev_before) after
+        in
+        walk [] ss
+    | Stmt.If (c, t, e) ->
+        go (Z.F_if_then (c, e) :: path) t;
+        Option.iter (fun e' -> go (Z.F_if_else (c, t) :: path) e') e
+    | Stmt.Store _ | Stmt.Eval _ -> ()
+  in
+  try
+    go [] stmt;
+    None
+  with Found (p, s) -> Some (p, s)
+
+let rec loop_vars acc = function
+  | Stmt.For r -> loop_vars (r.loop_var :: acc) r.body
+  | Stmt.Block br ->
+      let acc = Option.fold ~none:acc ~some:(loop_vars acc) br.block.init in
+      loop_vars acc br.block.body
+  | Stmt.Seq ss -> List.fold_left loop_vars acc ss
+  | Stmt.If (_, t, e) ->
+      let acc = loop_vars acc t in
+      Option.fold ~none:acc ~some:(loop_vars acc) e
+  | Stmt.Store _ | Stmt.Eval _ -> acc
+
+(* Over every loop and block of every sketch program (and a predicate
+   nothing satisfies), [Z.find] returns the reference's path and the very
+   same subtree. *)
+let test_find_matches_reference () =
+  let searches = ref 0 in
+  List.iter
+    (fun (_, (sk : Tir_autosched.Sketch.t), d) ->
+      match sk.apply d with
+      | exception Tir_sched.State.Schedule_error _ -> ()
+      | sch ->
+          let body = (Tir_sched.Schedule.func sch).Primfunc.body in
+          let agree what pred =
+            incr searches;
+            match (Z.find pred body, reference_find pred body) with
+            | None, None -> ()
+            | Some (p, s), Some (p', s') ->
+                Alcotest.(check bool) (what ^ ": same subtree") true (s == s');
+                Alcotest.(check bool) (what ^ ": same path") true (p = p')
+            | _ -> Alcotest.failf "%s: found by one search only" what
+          in
+          List.iter
+            (fun v ->
+              agree ("loop " ^ v.Var.name) (function
+                | Stmt.For r -> Var.equal r.loop_var v
+                | _ -> false))
+            (loop_vars [] body);
+          List.iter
+            (fun (br : Stmt.block_realize) ->
+              let name = br.block.Stmt.name in
+              agree ("block " ^ name) (function
+                | Stmt.Block b -> String.equal b.block.name name
+                | _ -> false))
+            (Stmt.collect_blocks body);
+          agree "no match" (fun _ -> false))
+    (Util.sketch_programs ());
+  Alcotest.(check bool) "searched" true (!searches > 1000)
+
 let suite =
   [
     ("find/rebuild identity", `Quick, test_find_rebuild_identity);
     ("loop context extraction", `Quick, test_find_loop_context);
     ("enclosing block", `Quick, test_enclosing_block);
     ("ranges include iterators", `Quick, test_ranges_include_iter_vars);
+    ("find matches the reference search", `Quick, test_find_matches_reference);
   ]
