@@ -47,14 +47,16 @@ perfbench-smoke: build
 	  | python3 tools/perfbench_layers.py BENCHMARK.json
 
 # Kill-and-resume smoke test of the session layer through the CLI: a tune
-# halted after one committed generation must exit 8, report as resumable,
-# finish under --resume, and then report as completed; a tune under
-# injected faults (TIR_FAULTS: measurements and database writes) must
-# still complete.
+# halted after one committed generation must exit 8; with a torn record
+# cut inside a percent escape appended to its WAL, it must still report
+# as resumable, finish under --resume, and then report as completed; a
+# tune under injected faults (TIR_FAULTS: measurements and database
+# writes) must still complete.
 crash-smoke: build
 	rm -f /tmp/tir_crash_smoke.wal
 	dune exec bin/tensorir_cli.exe -- tune GMM --trials 16 \
 	  --session /tmp/tir_crash_smoke.wal --halt-after 1; test $$? -eq 8
+	printf 'measure|1|s|b|0x1p+0|l0%%2' >> /tmp/tir_crash_smoke.wal
 	dune exec bin/tensorir_cli.exe -- session status /tmp/tir_crash_smoke.wal \
 	  | grep -q resumable
 	dune exec bin/tensorir_cli.exe -- tune GMM \
@@ -69,8 +71,9 @@ crash-smoke: build
 # budget must exit 8 and leave resumable work in running/; a second serve
 # must drain the queue; a re-submitted workload must complete via a
 # cross-tenant database replay, which `tensorir top` must show as
-# finished with no tenant left running; and a malformed job must
-# dead-letter to failed/ with a diagnostic rather than wedge the server.
+# finished with no tenant left running; and malformed jobs (an unknown
+# key, a truncated percent escape) must dead-letter to failed/ with a
+# diagnostic rather than wedge the server.
 serve-smoke: build
 	rm -rf /tmp/tir_serve_smoke
 	dune exec bin/tensorir_cli.exe -- submit --queue /tmp/tir_serve_smoke \
@@ -85,10 +88,13 @@ serve-smoke: build
 	  test $$? -eq 8
 	dune exec bin/tensorir_cli.exe -- jobs --queue /tmp/tir_serve_smoke \
 	  | grep -q running
+	printf 'workload=GMM%%4\n' > /tmp/tir_serve_smoke/pending/escape.job
 	dune exec bin/tensorir_cli.exe -- serve --queue /tmp/tir_serve_smoke \
 	  --drain --metrics-out /tmp/tir_serve_smoke/metrics.json
 	dune exec bin/tensorir_cli.exe -- jobs --queue /tmp/tir_serve_smoke \
 	  | grep -q "broken.*failed"
+	dune exec bin/tensorir_cli.exe -- jobs --queue /tmp/tir_serve_smoke \
+	  | grep -q "escape.*failed"
 	test $$(dune exec bin/tensorir_cli.exe -- jobs --queue /tmp/tir_serve_smoke \
 	  | grep -c done) -eq 3
 	dune exec bin/tensorir_cli.exe -- submit --queue /tmp/tir_serve_smoke \

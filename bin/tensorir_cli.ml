@@ -749,7 +749,7 @@ let serve_cmd =
   in
   let jobs_arg =
     let doc =
-      "Server-private evaluation pool size (default: the shared TIR_JOBS pool)."
+      "Evaluation pool size (default: TIR_JOBS)."
     in
     Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in

@@ -37,7 +37,19 @@ type record = {
       (** [None] only for records loaded from v1 files *)
 }
 
-type t = { mutable records : record list }
+(* What the file a database was loaded from or saved to holds, and how
+   many bytes long it was left. *)
+type disk =
+  | Unknown
+  | Read of { path : string; size : int; lines : string list }
+      (** a v2 file [load] read whole: its lines after the header *)
+  | Holds of { path : string; size : int; n : int }
+      (** exactly the v2 rendering of the first [n] records *)
+
+type t = {
+  mutable records : record list;  (** newest first *)
+  mutable disk : disk;
+}
 
 (* Registry counters: replays attempted / replayed from trace alone /
    fresh results committed. *)
@@ -45,7 +57,7 @@ let m_found = Tir_obs.Metrics.counter "db.found"
 let m_replayed = Tir_obs.Metrics.counter "db.replayed"
 let m_committed = Tir_obs.Metrics.counter "db.committed"
 
-let create () = { records = [] }
+let create () = { records = []; disk = Unknown }
 
 let find t ~target_name ~workload_name =
   (* Compare the name pair, not a joined string: a '|' inside a name must
@@ -144,52 +156,101 @@ let db_write_guard ~key =
       Tir_core.Error.raise_error ~context:key Tir_core.Error.Fault
         (Printf.sprintf "%s write failed after %d attempts" site attempts)
 
+(* The number of leading records the file at [path] holds, if it holds
+   exactly their rendering, and its size. A file [load] read is checked
+   against its records here, at the first save, so loading renders
+   nothing. *)
+let held t path =
+  match t.disk with
+  | Holds { path = p; size; n } when String.equal p path -> Some (n, size)
+  | Read { path = p; size; lines } when String.equal p path ->
+      let rec matches lines recs =
+        match (lines, recs) with
+        | [], _ -> true
+        | l :: ls, r :: rs -> String.equal l (record_to_line r) && matches ls rs
+        | _ :: _, [] -> false
+      in
+      if matches lines (List.rev t.records) then Some (List.length lines, size)
+      else None
+  | _ -> None
+
+let lines_size = List.fold_left (fun acc l -> acc + String.length l + 1) 0
+
 let save t path =
-  (* Write-then-rename: a crash, a failed write (a full disk) or an
-     exhausted injected fault mid-save leaves the previous snapshot
-     intact — readers never observe a half-written database. *)
-  Tir_core.File.write_atomic path (fun oc ->
-      output_string oc (version_header ^ "\n");
-      List.iteri
-        (fun i r ->
-          db_write_guard ~key:(Printf.sprintf "dbsave:%d" i);
-          output_string oc (record_to_line r ^ "\n"))
-        (List.rev t.records))
+  let all = List.rev t.records in
+  let appended =
+    match held t path with
+    | None -> None
+    | Some (k, size) ->
+        (* Records are only ever added, in order, so the records past the
+           [k] the file holds are all that is missing. Every injected
+           fault is decided before the first byte is written. *)
+        let fresh = List.filteri (fun i _ -> i >= k) all in
+        List.iteri
+          (fun i _ -> db_write_guard ~key:(Printf.sprintf "dbsave:%d" (k + i)))
+          fresh;
+        let lines = List.map record_to_line fresh in
+        (* A failed append may leave a torn line: until one succeeds, the
+           next save rewrites the file whole. *)
+        t.disk <- Unknown;
+        if
+          Tir_core.File.append path ~size (fun oc ->
+              List.iter
+                (fun l ->
+                  output_string oc l;
+                  output_char oc '\n')
+                lines)
+        then Some (size + lines_size lines)
+        else None
+  in
+  let size =
+    match appended with
+    | Some size -> size
+    | None ->
+        (* Write-then-rename: a crash, a failed write (a full disk) or an
+           exhausted injected fault mid-save leaves the previous snapshot
+           intact — readers never observe a half-written database. *)
+        let lines = version_header :: List.map record_to_line all in
+        Tir_core.File.write_atomic path (fun oc ->
+            List.iteri
+              (fun i l ->
+                if i > 0 then db_write_guard ~key:(Printf.sprintf "dbsave:%d" (i - 1));
+                output_string oc l;
+                output_char oc '\n')
+              lines);
+        lines_size lines
+  in
+  t.disk <- Holds { path; size; n = List.length all }
 
 let m_torn = Tir_obs.Metrics.counter "db.torn_dropped"
 
 let load path =
   if not (Sys.file_exists path) then create ()
   else begin
-    let content = Tir_core.File.read path in
-    let len = String.length content in
-    (* A file that does not end in a newline was torn by a crash
-       mid-append: its final (partial) line is dropped if unparseable.
-       Newline-terminated garbage is still an error — that is corruption,
-       not a torn write. *)
-    let complete_tail = len = 0 || content.[len - 1] = '\n' in
-    let lines = String.split_on_char '\n' content in
+    (* A crash mid-append leaves an unterminated final line. It is
+       dropped unparsed: a record cut inside its trace can parse as a
+       shorter one. Newline-terminated garbage is still an error — that
+       is corruption, not a torn write. *)
+    let lines, torn = Tir_core.File.read_lines path in
+    if torn <> None then Tir_obs.Metrics.incr m_torn;
     let records = ref [] in
     let v2 = ref false in
-    let parse line = if !v2 then record_of_line_v2 line else record_of_line_v1 line in
-    let rec go = function
-      | [] -> ()
-      | [ last ] when not complete_tail ->
-          let trimmed = String.trim last in
-          if trimmed <> "" && trimmed.[0] <> '#'
-             && not (String.equal trimmed version_header) then (
-            match parse last with
-            | r -> records := r :: !records
-            | exception _ -> Tir_obs.Metrics.incr m_torn)
-      | line :: rest ->
-          let trimmed = String.trim line in
-          if String.equal trimmed version_header then v2 := true
-          else if trimmed <> "" && trimmed.[0] <> '#' then
-            records := parse line :: !records;
-          go rest
+    List.iter
+      (fun line ->
+        let trimmed = String.trim line in
+        if String.equal trimmed version_header then v2 := true
+        else if trimmed <> "" && trimmed.[0] <> '#' then
+          records :=
+            (if !v2 then record_of_line_v2 line else record_of_line_v1 line)
+            :: !records)
+      lines;
+    let disk =
+      match lines with
+      | first :: rest when torn = None && String.equal first version_header ->
+          Read { path; size = lines_size lines; lines = rest }
+      | _ -> Unknown
     in
-    go lines;
-    { records = !records }
+    { records = !records; disk }
   end
 
 (** [load] through the unified error surface: [Io] when the filesystem

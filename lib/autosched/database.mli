@@ -31,21 +31,31 @@ val find : t -> target_name:string -> workload_name:string -> record option
 val add : t -> record -> unit
 val size : t -> int
 
-(** Write the v2 format (with version header), atomically
-    ([Tir_core.File.write_atomic]): a crash or a failed write mid-save
-    leaves the previous file intact, and a failed write raises
-    [Tir_core.Error.Error] with kind [Io]. Under fault injection (site
-    [Db_write] of [Tir_core.Fault]) each line write retries injected
-    failures; exhaustion raises [Tir_core.Error.Error] with kind
-    [Fault]. *)
+(** Bring the file at [path] up to date with [t] in the v2 format (with
+    version header). When the file holds exactly the v2 rendering of
+    [t]'s first records — [t] was loaded from [path] or last saved to
+    it — the records added since are appended, and nothing is written
+    when there are none. Otherwise (another path, or a file that is
+    missing, torn, v1 or spelled differently) the whole database is
+    written atomically ([Tir_core.File.write_atomic]): a crash or a
+    failed write mid-save leaves the previous file intact. Either way
+    the file ends byte-identical to a full rewrite, since records are
+    only ever added, in order. A failed write raises
+    [Tir_core.Error.Error] with kind [Io]; after a failed append the
+    next save rewrites the file whole. Under fault injection (site
+    [Db_write] of [Tir_core.Fault]) each record written retries
+    injected failures, all decided before an append writes anything;
+    exhaustion raises [Tir_core.Error.Error] with kind [Fault]. Only
+    the records a save writes are exposed, so a save with nothing to
+    append cannot fail. *)
 val save : t -> string -> unit
 
 (** Load from disk; a missing file yields an empty database. Reads v2
-    (version header present) and v1 (headerless) files. A torn trailing
-    line (crash mid-append: no final newline, unparseable) is dropped
-    and counted ([db.torn_dropped]); newline-terminated garbage still
-    raises — that is corruption, not a torn write. A file that cannot
-    be read raises [Tir_core.Error.Error] with kind [Io]. *)
+    (version header present) and v1 (headerless) files. An unterminated
+    final line (crash mid-append) is dropped without being parsed and
+    counted ([db.torn_dropped]); newline-terminated garbage still raises
+    — that is corruption, not a torn write. A file that cannot be read
+    raises [Tir_core.Error.Error] with kind [Io]. *)
 val load : string -> t
 
 (** [load] through the unified error surface: [Io] when the filesystem

@@ -6,9 +6,10 @@
     {!step} advances it by exactly one generation — proposal fan-out,
     preparation, ranking, checks, measurement, and the per-generation
     metrics/trace/checkpoint flush. The cost model fits on the samples a
-    generation measured when the next generation scores with it
-    ([Model.score_batch]), so a search's last batch is fitted only if
-    something reads the model afterwards.
+    generation measured while the pool prepares the next generation
+    ([Model.refresh] alongside the preparation region), so scoring finds
+    it fitted and a search's last batch is fitted only if something
+    reads the model afterwards.
     [Tune.run] and [Session.run] are thin loops over [step]; schedulers
     that interleave many searches ([Tir_service.Scheduler])
     call [step] directly and get preemption at generation boundaries for
@@ -376,8 +377,12 @@ let propose_all t specs =
   | Some c when fresh <> [] ->
       c.on_seen ~gen:t.gen (List.map (fun (_, _, key, _) -> key) fresh)
   | _ -> ());
+  (* Preparation never reads the model, so the calling domain fits the
+     last generation's samples meanwhile; scoring then finds the model
+     fitted. *)
   let prepared =
     Pool.parallel_map_list t.pool
+      ~alongside:(fun () -> if t.use_cost_model then Model.refresh t.model)
       (fun ((sk : Sketch.t), d, key, _) ->
         Tir_obs.Trace.with_ctx ~candidate:key (fun () ->
             Tir_obs.Trace.with_span "evaluate" (fun () ->

@@ -146,9 +146,10 @@ val create :
     unmeasurable. Spans: [engine.step], with [evaluate] per prepared
     candidate, [eval.check] per checked one, [engine.score], and
     [measure] per distinct measured program under it. [model.retrain]
-    sits under [engine.score] when the model refits on samples it has
-    not fitted yet; the last batch of a search is fitted only if
-    something reads the model later. The counts are accumulated in the
+    runs on the calling domain while the pool prepares the generation
+    ([Pool.parallel_map_list ?alongside]), when the model holds samples
+    it has not fitted yet and the search ranks with it; the last batch
+    of a search is fitted only if something reads the model later. The counts are accumulated in the
     sequential slot-order reduce, so they are bit-identical at any job
     count. *)
 val step : t -> t * event

@@ -99,9 +99,12 @@ let group_id t name =
       t.n_groups <- id + 1;
       id
 
-let add t ~group ~features ~latency_us =
+(* [add], reporting whether the sample was kept (false: its group was at
+   the cap). *)
+let accept t ~group ~features ~latency_us =
   let g = group_id t group in
-  if t.group_count.(g) < group_cap then begin
+  if t.group_count.(g) >= group_cap then false
+  else begin
     if t.n = Array.length t.lats then begin
       let grow a fill = Array.append a (Array.make (Array.length a) fill) in
       t.feats <- grow t.feats [||];
@@ -113,8 +116,12 @@ let add t ~group ~features ~latency_us =
     t.grps.(t.n) <- g;
     t.n <- t.n + 1;
     t.group_count.(g) <- t.group_count.(g) + 1;
-    if latency_us < t.group_best.(g) then t.group_best.(g) <- latency_us
+    if latency_us < t.group_best.(g) then t.group_best.(g) <- latency_us;
+    true
   end
+
+let add t ~group ~features ~latency_us =
+  ignore (accept t ~group ~features ~latency_us)
 
 (* Feature transform: NaN -> 0, clamp, then signed log1p. The raw rows
    mix O(1) ratios with O(1e9) byte/flop counts; squashing to log space
@@ -164,21 +171,32 @@ let iter_samples t f =
       ~latency_us:t.lats.(i)
   done
 
+(* One sample's line, without its newline. The store appends exactly
+   this, and it is the store's exact-dedup key: identical programs
+   measured in different runs give bit-identical (group, features,
+   latency) triples, hence identical lines. *)
+let add_sample_line b ~group ~features ~latency_us =
+  Printf.bprintf b "sample|%s|%h|" (esc group) latency_us;
+  Array.iteri
+    (fun j x ->
+      if j > 0 then Buffer.add_char b ',';
+      Printf.bprintf b "%h" x)
+    features
+
+let sample_line ~group ~features ~latency_us =
+  let b = Buffer.create 256 in
+  add_sample_line b ~group ~features ~latency_us;
+  Buffer.contents b
+
 (* A model without an ensemble (a store merge, or a search that never
    scored after measuring) saves its samples only. *)
 let save t =
   if t.model <> None then refresh t;
   let b = Buffer.create 4096 in
   Buffer.add_string b (header ^ "\n");
-  for i = 0 to t.n - 1 do
-    Printf.bprintf b "sample|%s|%h|" (esc t.group_names.(t.grps.(i))) t.lats.(i);
-    Array.iteri
-      (fun j x ->
-        if j > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "%h" x)
-      t.feats.(i);
-    Buffer.add_char b '\n'
-  done;
+  iter_samples t (fun ~group ~features ~latency_us ->
+      add_sample_line b ~group ~features ~latency_us;
+      Buffer.add_char b '\n');
   (match t.model with
   | None -> ()
   | Some m -> Printf.bprintf b "gbdt|%s\n" (esc (Gbdt.to_string m)));
@@ -189,34 +207,49 @@ let float_field what s =
   | Some f -> f
   | None -> parse_fail "model: bad %s %S" what s
 
-let load s =
-  let t = gbdt () in
-  let lines = String.split_on_char '\n' s in
-  (match lines with
-  | first :: _ when String.equal first header -> ()
-  | first :: _ -> parse_fail "model: bad header %S" first
-  | [] -> parse_fail "model: empty input");
-  List.iteri
-    (fun i line ->
-      if i > 0 && line <> "" then
-        match String.split_on_char '|' line with
-        | [ "sample"; group; lat; feats ] ->
-            let features =
+type line =
+  | Sample of { group : string; features : float array; latency_us : float }
+  | Ensemble of Gbdt.t
+  | Blank
+
+let parse_line line =
+  if line = "" then Blank
+  else
+    match String.split_on_char '|' line with
+    | [ "sample"; group; lat; feats ] ->
+        Sample
+          {
+            group = unesc group;
+            features =
               Array.of_list
-                (List.map (float_field "feature")
-                   (String.split_on_char ',' feats))
-            in
-            add t ~group:(unesc group) ~features
-              ~latency_us:(float_field "latency" lat)
-        | [ "gbdt"; text ] -> (
-            match Gbdt.of_string (unesc text) with
-            | m -> t.model <- Some m
-            | exception Gbdt.Parse_error e -> parse_fail "model: %s" e)
-        | _ -> parse_fail "model: bad line %S" line)
+                (List.map (float_field "feature") (String.split_on_char ',' feats));
+            latency_us = float_field "latency" lat;
+          }
+    | [ "gbdt"; text ] -> (
+        match Gbdt.of_string (unesc text) with
+        | m -> Ensemble m
+        | exception Gbdt.Parse_error e -> parse_fail "model: %s" e)
+    | _ -> parse_fail "model: bad line %S" line
+
+(* The model the lines after the header describe. *)
+let of_lines lines =
+  let t = gbdt () in
+  List.iter
+    (fun line ->
+      match parse_line line with
+      | Sample { group; features; latency_us } -> add t ~group ~features ~latency_us
+      | Ensemble m -> t.model <- Some m
+      | Blank -> ())
     lines;
   (* A stored ensemble counts as the fit of the stored samples. *)
   if t.model <> None then t.fitted <- t.n;
   t
+
+let load s =
+  match String.split_on_char '\n' s with
+  | first :: rest when String.equal first header -> of_lines rest
+  | first :: _ -> parse_fail "model: bad header %S" first
+  | [] -> parse_fail "model: empty input"
 
 let stats t =
   { samples = t.n; groups = t.n_groups; trained = t.model <> None }
@@ -242,52 +275,127 @@ let spec_of_string s =
 (* --- the persisted store ------------------------------------------------ *)
 
 module Store = struct
-  let parse path =
-    if Sys.file_exists path then
-      match load (Tir_core.File.read path) with
-      | m -> Some m
-      | exception Parse_error _ -> None
-    else None
+  let m_torn = Tir_obs.Metrics.counter "db.torn_dropped"
 
-  (* The file holds samples only; the one fit of a load happens here. *)
+  (* The lines after the header, and whether the file ended cleanly.
+     [None] when there is no file or its header is not this format's. A
+     torn final line (crash mid-append) is dropped unparsed. *)
+  let read path =
+    if not (Sys.file_exists path) then None
+    else
+      let lines, torn = Tir_core.File.read_lines path in
+      if torn <> None then Tir_obs.Metrics.incr m_torn;
+      match lines with
+      | first :: rest when String.equal first header -> Some (rest, torn = None)
+      | _ -> None
+
+  (* The file holds samples only; the one fit of a load happens here. A
+     store that does not parse degrades to a cold start. *)
   let load path =
-    let m = parse path in
-    Option.iter retrain m;
-    m
+    match read path with
+    | None -> None
+    | Some (lines, _) -> (
+        match of_lines lines with
+        | m ->
+            retrain m;
+            Some m
+        | exception Parse_error _ -> None)
 
   (* Atomic publish: a crashed or failed writer never leaves a torn
      store. *)
   let save ~path model =
     Tir_core.File.write_atomic path (fun oc -> output_string oc (save model))
 
-  let absorb ~path model =
+  type handle = {
+    path : string;
+    merged : t;  (** the stored samples, then each one [add] kept *)
+    text : Buffer.t;  (** [save merged], kept line by line *)
+    seen : (string, unit) Hashtbl.t;  (** sample lines read or offered *)
+    stored : bool;  (** the file existed and parsed *)
+    mutable synced : bool;  (** the file holds exactly [text] *)
+  }
+
+  let empty path =
+    let text = Buffer.create 4096 in
+    Buffer.add_string text (header ^ "\n");
+    {
+      path;
+      merged = gbdt ();
+      text;
+      seen = Hashtbl.create 256;
+      stored = false;
+      synced = false;
+    }
+
+  (* Offer a sample under its line: kept unless the group is at its cap;
+     a kept sample's line joins [text]. *)
+  let keep h ~group ~features ~latency_us line =
+    Hashtbl.replace h.seen line ();
+    accept h.merged ~group ~features ~latency_us
+    && begin
+         Buffer.add_string h.text line;
+         Buffer.add_char h.text '\n';
+         true
+       end
+
+  (* One parse. The file is in sync, so [add] may append to it, when it
+     ended cleanly and every line is a sample that [accept] kept, spelled
+     as [sample_line] spells it: exactly what [save] of the merge
+     writes. Anything else (an ensemble, a blank line, another spelling
+     of a float, a sample over the group cap) is rewritten once. *)
+  let open_ path =
+    match read path with
+    | None -> empty path
+    | Some (lines, clean) -> (
+        let h = { (empty path) with stored = true } in
+        match
+          List.fold_left
+            (fun synced line ->
+              match parse_line line with
+              | Sample { group; features; latency_us } ->
+                  let key = sample_line ~group ~features ~latency_us in
+                  keep h ~group ~features ~latency_us key
+                  && synced && String.equal key line
+              | Ensemble _ | Blank -> false)
+            clean lines
+        with
+        | synced -> { h with synced }
+        | exception Parse_error _ -> empty path)
+
+  let fit h =
+    if not h.stored then None
+    else begin
+      let m = gbdt () in
+      iter_samples h.merged (fun ~group ~features ~latency_us ->
+          add m ~group ~features ~latency_us);
+      retrain m;
+      Some m
+    end
+
+  let add h model =
     (* A warm-started run's model carries the store's own samples; exact
-       dedup keeps re-absorbing them from doubling the store. Identical
-       programs measured in different runs produce bit-identical
-       (group, features, latency) triples, so an exact key is enough. *)
-    let seen = Hashtbl.create 256 in
-    let key ~group ~features ~latency_us =
-      let b = Buffer.create 128 in
-      Buffer.add_string b group;
-      Buffer.add_string b (Printf.sprintf "|%h" latency_us);
-      Array.iter (fun f -> Buffer.add_string b (Printf.sprintf "|%h" f)) features;
-      Buffer.contents b
-    in
-    (* The merge is untrained: [load] fits the samples it finds, and the
-       ensemble is a function of the ordered samples alone. *)
-    let merged = gbdt () in
-    Option.iter
-      (fun stored ->
-        iter_samples stored (fun ~group ~features ~latency_us ->
-            Hashtbl.replace seen (key ~group ~features ~latency_us) ();
-            add merged ~group ~features ~latency_us))
-      (parse path);
+       dedup keeps re-absorbing them from doubling the store. *)
+    let held = Buffer.length h.text in
     iter_samples model (fun ~group ~features ~latency_us ->
-        let k = key ~group ~features ~latency_us in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.replace seen k ();
-          add merged ~group ~features ~latency_us
-        end);
-    save ~path merged;
-    merged
+        let line = sample_line ~group ~features ~latency_us in
+        if not (Hashtbl.mem h.seen line) then
+          ignore (keep h ~group ~features ~latency_us line));
+    (* Append only to the file this handle left, at the length it left it
+       (the file may have changed since). A failed append may leave a
+       torn line: until a write succeeds, the next one rewrites the file
+       whole. *)
+    let synced = h.synced in
+    h.synced <- false;
+    if
+      not
+        (synced
+        && Tir_core.File.append h.path ~size:held (fun oc ->
+               output_string oc (Buffer.sub h.text held (Buffer.length h.text - held))))
+    then Tir_core.File.write_atomic h.path (fun oc -> Buffer.output_buffer oc h.text);
+    h.synced <- true
+
+  let absorb ~path model =
+    let h = open_ path in
+    add h model;
+    h.merged
 end

@@ -37,6 +37,13 @@ val add : t -> group:string -> features:float array -> latency_us:float -> unit
     the group cap change nothing, so they never cause a fit. *)
 val retrain : t -> unit
 
+(** The readers' fit, ahead of the read: fit now, in a [model.retrain]
+    span, when samples were added since the last fit; otherwise
+    nothing. The ensemble is a function of the ordered samples, so the
+    next read scores exactly as if it had fitted itself. The engine
+    calls it while the pool prepares a generation. *)
+val refresh : t -> unit
+
 (** Rank a feature vector (higher = predicted faster), after fitting the
     samples added since the last fit. A model with no samples scores by
     an analytic prior that prefers tensorized, high-occupancy programs. *)
@@ -80,12 +87,17 @@ val spec_to_string : spec -> string
 val spec_of_string : string -> spec
 
 (** The persisted model store: one sample file maintained alongside a
-    trace database. [absorb] merges a finished run's samples into the
-    store and atomically republishes it (tmp + rename) without
-    training; [load] fits the stored samples once. This is the
-    cross-workload transfer loop of [tensorir serve]. The ensemble is a
-    function of the ordered samples alone, so a loaded store is the
-    model an eager refit after every absorb would have produced. *)
+    trace database. Completions append the samples they add ({!add}),
+    so the file only grows; it stays byte-identical to an untrained
+    [save] of every sample merged so far, the file the old
+    read-merge-rewrite per completion left. [load] fits the stored
+    samples once. This is the cross-workload transfer loop of
+    [tensorir serve]. The ensemble is a function of the ordered samples
+    alone, so a loaded store is the model an eager refit after every
+    merge would have produced.
+
+    Every reader drops an unterminated final line (a crash
+    mid-append) without parsing it, counting it in [db.torn_dropped]. *)
 module Store : sig
   (** Parse the store and fit it once. [None] when the file does not
       exist or does not parse (a corrupt store degrades to a cold start,
@@ -98,10 +110,33 @@ module Store : sig
       file in place. *)
   val save : path:string -> t -> unit
 
-  (** Merge [model]'s samples into the samples stored at [path] and save
-      the result, untrained, so the file holds samples only; returns
-      that untrained merged model. Exact-duplicate samples are dropped,
-      so absorbing a model that was itself warm-started from this store
-      never double-counts the store's own history. *)
+  (** A store opened for merging: its samples, their exact-dedup keys
+      and whether the file is exactly what an untrained [save] of them
+      writes, all from one read. *)
+  type handle
+
+  (** Read the store at [path] once. A missing or unparseable file
+      opens empty (and is rewritten by the first {!add}). Raises like
+      {!load}. *)
+  val open_ : string -> handle
+
+  (** The samples read (and added) so far, fitted once: the warm-start
+      model {!load} gives for the same file. [None] when the file was
+      missing or did not parse. *)
+  val fit : handle -> t option
+
+  (** Merge [model]'s samples: keep each one not seen before (exact
+      duplicates are dropped, so a model warm-started from this store
+      never double-counts the store's history) and not refused at the
+      group cap, and append the kept ones' lines to the file. A file
+      this code did not write (another spelling, an ensemble line, a
+      torn or missing file, samples past the cap) is instead rewritten
+      whole, atomically, once — also when nothing new was kept. A
+      failed write raises [Tir_core.Error.Error] with kind [Io]; the
+      next [add] rewrites the file. *)
+  val add : handle -> t -> unit
+
+  (** [open_], then [add]: returns the untrained merged model, which
+      the file now holds. *)
   val absorb : path:string -> t -> t
 end

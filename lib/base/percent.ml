@@ -63,3 +63,6 @@ let unescape s =
     done;
     Buffer.contents b
   end
+
+let decode ?context kind s =
+  try unescape s with Failure msg -> Error.raise_error ?context kind msg

@@ -20,3 +20,9 @@ val escape : reserved -> string -> string
 (** Inverse of [escape] for any reserved set. Raises [Failure] on a
     truncated or non-hex escape. *)
 val unescape : string -> string
+
+(** [decode ?context kind s] is [unescape s] for a format whose
+    malformed text is a classified error: a truncated or non-hex escape
+    raises [Error.Error] of [kind] (a job file's [Parse], a WAL's
+    [Corrupt]) with [context] (the file) instead of [Failure]. *)
+val decode : ?context:string -> Error.kind -> string -> string

@@ -142,22 +142,23 @@ let shutdown t =
     t.domains <- []
   end
 
-(* The process-wide pool, sized by TIR_JOBS. Created on first use; worker
-   domains live for the rest of the process (they are idle between tuning
-   rounds and cost nothing but their stacks). *)
-let global_pool : t option Atomic.t = Atomic.make None
+(* The process's pools, one per size. Each is created on first use and
+   never joined: its worker domains idle between regions and cost
+   nothing but their stacks, while joining a domain blocks the caller
+   (on OCaml 5.1, also through the exiting domain's share of the
+   current GC cycle). *)
+let globals : (int * t) list ref = ref []
+let globals_mu = Mutex.create ()
 
-let global () =
-  match Atomic.get global_pool with
-  | Some p -> p
-  | None ->
-      let p = create () in
-      if Atomic.compare_and_set global_pool None (Some p) then p
-      else begin
-        (* Lost the race (two domains initializing concurrently): discard. *)
-        shutdown p;
-        Option.get (Atomic.get global_pool)
-      end
+let global ?jobs () =
+  let jobs = match jobs with Some n -> clamp_jobs n | None -> default_jobs () in
+  Mutex.protect globals_mu (fun () ->
+      match List.assoc_opt jobs !globals with
+      | Some p -> p
+      | None ->
+          let p = create ~jobs () in
+          globals := (jobs, p) :: !globals;
+          p)
 
 let default_chunk n jobs =
   (* Small chunks load-balance; cap the chunk count at ~8 per worker. *)
@@ -219,12 +220,30 @@ let busy_frac_sample ~busy_us =
 let queue_waiters = Atomic.make 0
 let queue_depth () = Atomic.get queue_waiters
 
+(* Run [alongside] on the calling domain as if inside a region (a
+   nested fan-out from it runs sequentially), keeping what it raises for
+   after the region drains. *)
+let run_alongside = function
+  | None -> None
+  | Some g ->
+      let outer = Domain.DLS.get in_region in
+      Domain.DLS.set in_region true;
+      let raised =
+        match g () with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ())
+      in
+      Domain.DLS.set in_region outer;
+      raised
+
 (** [parallel_iteri t n f] runs [f i] for [0 <= i < n] across the pool.
     Any exception from [f] is re-raised in the caller; when several
-    indices fail, the one with the smallest index wins. Regions are
-    serialized: concurrent callers queue, and a nested call from inside
-    a running region degrades to a sequential loop. *)
-let parallel_iteri t n (f : int -> unit) =
+    indices fail, the one with the smallest index wins. [alongside] runs
+    once on the calling domain while the workers start on the tasks; its
+    exception, re-raised after the region drains, wins over theirs.
+    Regions are serialized: concurrent callers queue, and a nested call
+    from inside a running region degrades to a sequential loop. *)
+let parallel_iteri ?alongside t n (f : int -> unit) =
   if n <= 0 then ()
   else begin
   Tir_obs.Metrics.incr m_regions;
@@ -254,13 +273,26 @@ let parallel_iteri t n (f : int -> unit) =
           ~args:[ ("i", string_of_int i) ]
           (fun () -> f i))
   in
-  if t.jobs = 1 || n = 1 || Domain.DLS.get in_region then
-    Fun.protect
-      ~finally:(fun () -> busy_frac_sample ~busy_us:(Atomic.get region_busy))
-      (fun () ->
-        for i = 0 to n - 1 do
-          timed i
-        done)
+  let reraise = function
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
+  in
+  if t.jobs = 1 || n = 1 || Domain.DLS.get in_region then begin
+    let side = run_alongside alongside in
+    match
+      Fun.protect
+        ~finally:(fun () -> busy_frac_sample ~busy_us:(Atomic.get region_busy))
+        (fun () ->
+          for i = 0 to n - 1 do
+            timed i
+          done)
+    with
+    | () -> reraise side
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        reraise side;
+        Printexc.raise_with_backtrace e bt
+  end
   else begin
     let chunk = default_chunk n t.jobs in
     let cursor = Atomic.make 0 in
@@ -305,6 +337,7 @@ let parallel_iteri t n (f : int -> unit) =
     t.finished <- 0;
     Condition.broadcast t.wake;
     Mutex.unlock t.mutex;
+    let side = run_alongside alongside in
     run seq;
     Mutex.lock t.mutex;
     while t.finished < t.jobs - 1 do
@@ -316,22 +349,21 @@ let parallel_iteri t n (f : int -> unit) =
     Tir_obs.Metrics.set m_queue_depth
       (float_of_int (Atomic.fetch_and_add queue_waiters (-1) - 1));
     busy_frac_sample ~busy_us:(Atomic.get region_busy);
-    match Atomic.get failure with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
+    reraise side;
+    reraise (Option.map (fun (_, e, bt) -> (e, bt)) (Atomic.get failure))
   end
   end
 
 (** Order-preserving parallel map over an array. *)
-let parallel_map t (f : 'a -> 'b) (xs : 'a array) : 'b array =
+let parallel_map ?alongside t (f : 'a -> 'b) (xs : 'a array) : 'b array =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    parallel_iteri t n (fun i -> out.(i) <- Some (f xs.(i)));
+    parallel_iteri ?alongside t n (fun i -> out.(i) <- Some (f xs.(i)));
     Array.map Option.get out
   end
 
 (** Order-preserving parallel map over a list. *)
-let parallel_map_list t (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  Array.to_list (parallel_map t f (Array.of_list xs))
+let parallel_map_list ?alongside t (f : 'a -> 'b) (xs : 'a list) : 'b list =
+  Array.to_list (parallel_map ?alongside t f (Array.of_list xs))

@@ -42,12 +42,15 @@ val busy_frac : unit -> float
     scheduler's backlog signal. Mirrors the [pool.queue_depth] gauge. *)
 val queue_depth : unit -> int
 
-(** The process-wide shared pool, created on first use and sized by
-    [TIR_JOBS]. *)
-val global : unit -> t
+(** [global ?jobs ()] is the process's pool of [jobs] domains (default:
+    [TIR_JOBS], as {!create}; clamped the same way), created on first
+    use and never joined — its workers idle between regions, so callers
+    that come and go (each [Jobqueue.serve] call) share one set of
+    domains instead of spawning and joining their own. *)
+val global : ?jobs:int -> unit -> t
 
-(** Join the worker domains. The pool must not be used afterwards. The
-    global pool never needs this. *)
+(** Join the worker domains. The pool must not be used afterwards. A
+    {!global} pool must never be shut down. *)
 val shutdown : t -> unit
 
 (** [parallel_iteri t n f] runs [f i] for [0 <= i < n] across the pool in
@@ -55,15 +58,26 @@ val shutdown : t -> unit
     smallest failing index is re-raised in the caller after the region
     drains.
 
+    [alongside] is work for the calling domain that reads nothing the
+    tasks write: it runs exactly once, on the caller, after the region
+    is published (so the workers start on the tasks at once) and before
+    the caller joins them — at [jobs = 1], and on the other sequential
+    paths, it simply runs first. An empty region ([n <= 0]) runs
+    nothing, [alongside] included. It is not a task: the [pool.*]
+    counters, the region-size histogram and the busy time do not count
+    it. Its exception is re-raised after the region drains, in
+    preference to a task's.
+
     Safe under concurrency: the pool runs one region at a time, so
     concurrent callers (e.g. two searches sharing [global ()]) queue up
     rather than corrupting each other's region, and a nested call from
-    inside [f] degrades to a plain sequential loop instead of
-    deadlocking. *)
-val parallel_iteri : t -> int -> (int -> unit) -> unit
+    inside [f] or [alongside] degrades to a plain sequential loop
+    instead of deadlocking. *)
+val parallel_iteri : ?alongside:(unit -> unit) -> t -> int -> (int -> unit) -> unit
 
 (** Order-preserving parallel map over an array. *)
-val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
+val parallel_map : ?alongside:(unit -> unit) -> t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** Order-preserving parallel map over a list. *)
-val parallel_map_list : t -> ('a -> 'b) -> 'a list -> 'b list
+val parallel_map_list :
+  ?alongside:(unit -> unit) -> t -> ('a -> 'b) -> 'a list -> 'b list

@@ -28,9 +28,10 @@
     The server kills cleanly at any generation boundary: every running
     tenant's WAL is committed, the job file stays in [running/], and the
     next [serve] adopts it via [Session.resume] — per-tenant results are
-    bit-identical to an uninterrupted run. Completed jobs save the shared
-    database, so a later tenant submitting an already-solved workload
-    replays the stored trace instead of searching ([db.replayed]). *)
+    bit-identical to an uninterrupted run. Completed jobs append to the
+    shared database, so a later tenant submitting an already-solved
+    workload replays the stored trace instead of searching
+    ([db.replayed]). *)
 
 module W = Tir_workloads.Workloads
 module Tune = Tir_autosched.Tune
@@ -40,7 +41,7 @@ module Error = Tir_core.Error
 module Metrics = Tir_obs.Metrics
 
 let esc = Tir_core.Percent.escape Database.field_chars
-let unesc = Tir_core.Percent.unescape
+let unesc ~context = Tir_core.Percent.decode ~context Error.Parse
 let fl = Printf.sprintf "%h"
 
 type job = {
@@ -127,7 +128,7 @@ let parse_job ~name text =
         | Some eq ->
             let key = String.trim (String.sub line 0 eq) in
             let v =
-              unesc
+              unesc ~context:name
                 (String.trim
                    (String.sub line (eq + 1) (String.length line - eq - 1)))
             in
@@ -250,7 +251,8 @@ let read_kv path =
            | Some eq ->
                Some
                  ( String.sub line 0 eq,
-                   unesc (String.sub line (eq + 1) (String.length line - eq - 1))
+                   unesc ~context:path
+                     (String.sub line (eq + 1) (String.length line - eq - 1))
                  ))
 
 let read_result ~queue ~name = read_kv (result_file queue name)
@@ -261,8 +263,7 @@ let read_error ~queue ~name = read_kv (error_file queue name)
 type config = {
   queue : string;
   jobs : int option;
-      (** private pool size for the whole server; [None] = the shared
-          [TIR_JOBS]-sized pool *)
+      (** the process's pool of this size; [None] = the [TIR_JOBS] one *)
   drain : bool;  (** exit once pending and running are empty *)
   max_steps : int option;
       (** total session-step budget; the kill point for crash testing *)
@@ -398,42 +399,36 @@ let serve (cfg : config) : outcome =
     | Ok db -> db
     | Error e -> raise (Error.Error e)
   in
-  (* The warm-start snapshot is read once at server start and baked into
-     each fresh session's config (and hence its WAL meta record) as a
-     [Model.Warm] spec: a session's model is pinned at creation, so
-     kill+resume stays bit-identical even while completions keep
-     absorbing into the live store. A missing or corrupt store degrades
-     to cold starts. *)
+  (* The store is read once per serve call: the warm-start snapshot
+     comes from that read, and completions append to it through the same
+     handle. The snapshot is baked into each fresh session's config (and
+     hence its WAL meta record) as a [Model.Warm] spec: a session's model
+     is pinned at creation, so kill+resume stays bit-identical even while
+     completions keep adding to the live store. A missing or corrupt
+     store degrades to cold starts. *)
+  let store = Model.Store.open_ (model_file queue) in
   let warm_spec =
-    Option.map (fun m -> Model.Warm (Model.save m))
-      (Model.Store.load (model_file queue))
+    Option.map (fun m -> Model.Warm (Model.save m)) (Model.Store.fit store)
   in
-  let pool =
-    match cfg.jobs with
-    | Some j -> Tir_parallel.Pool.create ~jobs:j ()
-    | None -> Tir_parallel.Pool.global ()
-  in
-  let own_pool = cfg.jobs <> None in
-  let sch = Scheduler.create ~pool () in
+  let sch = Scheduler.create ~pool:(Tir_parallel.Pool.global ?jobs:cfg.jobs ()) () in
   let jobs_tbl : (string, job) Hashtbl.t = Hashtbl.create 16 in
   let completed = ref 0 and failed = ref 0 in
   let finish_ok name (r : Tune.result) =
-    let j = Hashtbl.find jobs_tbl name in
-    write_file_atomic (result_file queue name) (render_result j r);
-    move (job_file queue Running name) (job_file queue Done name);
-    if Sys.file_exists (wal_file queue Running name) then
-      move (wal_file queue Running name) (wal_file queue Done name);
-    (* Persist the shared database after every completion: the next
-       tenant (or the next server process) replays this result for
-       free. *)
-    Database.save db (db_file queue);
-    (* And fold the run's cost-model samples into the shared store — the
-       next server process fits it once and warm-starts every fresh
-       session from it (database replays return [model = None]: nothing
-       new learned). *)
-    Option.iter
-      (fun m -> ignore (Model.Store.absorb ~path:(model_file queue) m))
-      r.Tune.model;
+    Tir_obs.Trace.with_span "jobqueue.complete" (fun () ->
+        let j = Hashtbl.find jobs_tbl name in
+        write_file_atomic (result_file queue name) (render_result j r);
+        move (job_file queue Running name) (job_file queue Done name);
+        if Sys.file_exists (wal_file queue Running name) then
+          move (wal_file queue Running name) (wal_file queue Done name);
+        (* Persist the shared database after every completion: the next
+           tenant (or the next server process) replays this result for
+           free. A replay adds no record, so it writes nothing. *)
+        Database.save db (db_file queue);
+        (* And fold the run's cost-model samples into the shared store —
+           the next server process fits it once and warm-starts every
+           fresh session from it (database replays return
+           [model = None]: nothing new learned). *)
+        Option.iter (Model.Store.add store) r.Tune.model);
     job_instant ~name "job.done";
     Metrics.incr m_jobs_done;
     incr completed
@@ -455,6 +450,7 @@ let serve (cfg : config) : outcome =
      order (running jobs were necessarily submitted before pending
      ones). *)
   let enqueue ~st name =
+    Tir_obs.Trace.with_span "jobqueue.enqueue" @@ fun () ->
     match
       let j = parse_job ~name (Tir_core.File.read (job_file queue st name)) in
       let target, w = resolve ~name j in
@@ -506,36 +502,33 @@ let serve (cfg : config) : outcome =
   let budget_left () =
     Option.map (fun m -> max 0 (m - !steps_used)) cfg.max_steps
   in
-  Fun.protect
-    ~finally:(fun () -> if own_pool then Tir_parallel.Pool.shutdown pool)
-    (fun () ->
-      (* Everything the server records carries at least tenant="server";
-         tenant slices and job lifecycle sites override it with the real
-         identity. *)
-      Tir_obs.Trace.with_ctx ~tenant:"server" @@ fun () ->
-      dump_metrics cfg;
-      let rec loop first =
-        if first then
-          List.iter (fun name -> enqueue ~st:Running name) (jobs_in queue Running);
-        List.iter (fun name -> enqueue ~st:Pending name) (jobs_in queue Pending);
-        let before = Scheduler.steps_taken sch in
-        let stop = Scheduler.run ?max_steps:(budget_left ()) ~on_event sch in
-        steps_used := !steps_used + (Scheduler.steps_taken sch - before);
-        dump_metrics cfg;
-        match stop with
-        | Scheduler.Budget ->
-            { o_completed = !completed; o_failed = !failed; o_budget = true }
-        | Scheduler.Idle ->
-            if jobs_in queue Pending <> [] then loop false
-            else if cfg.drain then
-              { o_completed = !completed; o_failed = !failed; o_budget = false }
-            else begin
-              Unix.sleepf (Float.max 0.01 cfg.poll_interval_s);
-              (* Periodic snapshots while idle: the poll tick is the
-                 telemetry cadence, so scrapers and `tensorir top` see
-                 live data even when no scheduler event fires. *)
-              dump_metrics cfg;
-              loop false
-            end
-      in
-      loop true)
+  (* Everything the server records carries at least tenant="server";
+     tenant slices and job lifecycle sites override it with the real
+     identity. *)
+  Tir_obs.Trace.with_ctx ~tenant:"server" @@ fun () ->
+  dump_metrics cfg;
+  let rec loop first =
+    if first then
+      List.iter (fun name -> enqueue ~st:Running name) (jobs_in queue Running);
+    List.iter (fun name -> enqueue ~st:Pending name) (jobs_in queue Pending);
+    let before = Scheduler.steps_taken sch in
+    let stop = Scheduler.run ?max_steps:(budget_left ()) ~on_event sch in
+    steps_used := !steps_used + (Scheduler.steps_taken sch - before);
+    dump_metrics cfg;
+    match stop with
+    | Scheduler.Budget ->
+        { o_completed = !completed; o_failed = !failed; o_budget = true }
+    | Scheduler.Idle ->
+        if jobs_in queue Pending <> [] then loop false
+        else if cfg.drain then
+          { o_completed = !completed; o_failed = !failed; o_budget = false }
+        else begin
+          Unix.sleepf (Float.max 0.01 cfg.poll_interval_s);
+          (* Periodic snapshots while idle: the poll tick is the
+             telemetry cadence, so scrapers and `tensorir top` see live
+             data even when no scheduler event fires. *)
+          dump_metrics cfg;
+          loop false
+        end
+  in
+  loop true

@@ -19,28 +19,36 @@
     [workload] (required tag), [target] (default [gpu]), [seed]
     (default 42), [trials] (default 64), [priority] (default 1, clamped
     to [>= 1]). Blank lines and [#] comments are skipped. A malformed
-    job — unknown key, bad integer, unknown workload or target — moves
-    to [failed/] with a [NAME.error] file carrying the shared
-    {!Tir_core.Error.t} kind, exit code, and message; the server never
-    wedges on bad input.
+    job — unknown key, bad integer, malformed percent escape, unknown
+    workload or target — moves to [failed/] with a [NAME.error] file
+    carrying the shared {!Tir_core.Error.t} kind, exit code, and
+    message; the server never wedges on bad input.
 
     The server can be killed at any generation boundary: WALs are
     committed, job files stay in [running/], and the next {!serve}
     adopts them via [Session.resume] — per-tenant results are
-    bit-identical to an uninterrupted run. Completed jobs persist the
-    shared database, so a later job with an already-solved workload
-    replays the stored trace ([db.replayed]) instead of searching.
+    bit-identical to an uninterrupted run. Each completion persists the
+    shared database, appending the record it added
+    ({!Tir_autosched.Database.save}; a replay adds none and writes
+    nothing), so a later job with an already-solved workload replays
+    the stored trace ([db.replayed]) instead of searching.
 
-    Completed jobs also fold their cost model's samples into
-    [model.txt] ({!Tir_autosched.Model.Store.absorb}), which holds
-    samples only and is not retrained per job. At startup the server
-    loads the store once, fitting it once, and warm-starts every fresh
-    session from that model ([Model.Warm] spec, recorded in the
-    session's WAL meta — so kill+resume never depends on the moving
-    store file).
+    Completed searches also fold their cost model's samples into
+    [model.txt], which holds samples only and is not retrained per job.
+    Each [serve] call reads the store once
+    ({!Tir_autosched.Model.Store.open_}): that read fits it once, for
+    the warm start of every fresh session ([Model.Warm] spec, recorded
+    in the session's WAL meta — so kill+resume never depends on the
+    moving store file), and each completion appends the samples it adds
+    through the same handle. Both files stay byte-identical to a full
+    rewrite after every completion; one this server did not write (or
+    a torn one) is rewritten once, atomically.
 
     Metrics: [serve.jobs_started], [serve.jobs_adopted],
-    [serve.jobs_done], [serve.jobs_failed]. *)
+    [serve.jobs_done], [serve.jobs_failed]. Spans: [jobqueue.enqueue]
+    (reading a job and creating or resuming its session) and
+    [jobqueue.complete] (result file, renames, [db.txt] and [model.txt]
+    writes). *)
 
 module W = Tir_workloads.Workloads
 module Tune = Tir_autosched.Tune
@@ -103,7 +111,10 @@ val model_file : string -> string
 type config = {
   queue : string;
   jobs : int option;
-      (** server-private pool size; [None] = the shared [TIR_JOBS] pool *)
+      (** pool size: [Some j] selects the process's pool of [j] domains
+          ([Tir_parallel.Pool.global ~jobs:j]), [None] the one sized by
+          [TIR_JOBS]. Either is created on first use and shared by every
+          later [serve] call of the process; none is joined. *)
   drain : bool;  (** exit once pending and running are empty *)
   max_steps : int option;
       (** total session-step budget across all tenants — the
@@ -120,7 +131,7 @@ type config = {
           snapshot cadence while idle *)
 }
 
-(** Drain mode, shared pool, no step budget, no metrics dump. *)
+(** Drain mode, the [TIR_JOBS] pool, no step budget, no metrics dump. *)
 val default_config : string -> config
 
 type outcome = {

@@ -30,7 +30,7 @@ let corrupt ~path fmt =
    cost model and the elite ranking, so "close" is not good enough. *)
 let fl = Printf.sprintf "%h"
 let esc = Tir_core.Percent.escape Database.field_chars
-let unesc = Tir_core.Percent.unescape
+let unesc ~path = Tir_core.Percent.decode ~context:path Error.Corrupt
 
 (* --- record grammar ----------------------------------------------------- *)
 
@@ -150,10 +150,10 @@ let parse_raw_measure ~path = function
       | Some g, Some l ->
           ( g,
             {
-              rm_sketch = unesc sketch;
-              rm_base = unesc base;
+              rm_sketch = unesc ~path sketch;
+              rm_base = unesc ~path base;
               rm_latency = l;
-              rm_trace = unesc trace;
+              rm_trace = unesc ~path trace;
             } )
       | _ -> corrupt ~path "bad measure record")
   | _ -> corrupt ~path "bad measure record"
@@ -170,7 +170,7 @@ let parse_record ~path line =
   match String.split_on_char '|' line with
   | "seen" :: g :: keys -> (
       match int_of_string_opt g with
-      | Some g -> R_seen (g, List.map unesc keys)
+      | Some g -> R_seen (g, List.map (unesc ~path) keys)
       | None -> corrupt ~path "bad seen record")
   | "measure" :: rest ->
       let g, rm = parse_raw_measure ~path rest in
@@ -203,10 +203,10 @@ let parse_record ~path line =
               | Some l ->
                   Some
                     {
-                      rm_sketch = unesc sketch;
-                      rm_base = unesc base;
+                      rm_sketch = unesc ~path sketch;
+                      rm_base = unesc ~path base;
                       rm_latency = l;
-                      rm_trace = unesc trace;
+                      rm_trace = unesc ~path trace;
                     }
               | None -> corrupt ~path "bad done latency field"
             else None
@@ -216,7 +216,11 @@ let parse_record ~path line =
   | _ -> corrupt ~path "unrecognized session record: %s" line
 
 let parse ~path =
-  let lines, torn = Wal.read ~path in
+  (* A torn tail (crash mid-append) is never parsed: a record cut inside
+     an escape or a field can parse as a different, shorter record. It
+     belongs to an uncommitted generation, which re-runs bit-identically,
+     or it is a [done] record, which the next step appends again. *)
+  let lines, _ = Wal.read ~path in
   match lines with
   | [] -> corrupt ~path "empty or missing session log"
   | meta :: rest ->
@@ -226,12 +230,12 @@ let parse ~path =
             match (int_of_string_opt seed, int_of_string_opt trials) with
             | Some seed, Some trials ->
                 let model =
-                  match Model.spec_of_string (unesc spec) with
+                  match Model.spec_of_string (unesc ~path spec) with
                   | m -> m
                   | exception Model.Parse_error _ ->
                       corrupt ~path "bad meta model field"
                 in
-                ( unesc tag, unesc name, unesc tname, seed, trials,
+                ( unesc ~path tag, unesc ~path name, unesc ~path tname, seed, trials,
                   String.equal ucm "1", String.equal evolve "1", model )
             | _ -> corrupt ~path "bad meta record")
         | _ -> corrupt ~path "missing meta record"
@@ -275,15 +279,6 @@ let parse ~path =
           if trimmed <> "" && trimmed.[0] <> '#' then
             apply line (parse_record ~path line))
         rest;
-      (* Torn tail: salvage it when it parses, drop it silently when it
-         does not — a crash mid-append is expected, garbage mid-file is
-         not. *)
-      (match torn with
-      | Some frag when !done_ = None && String.trim frag <> "" -> (
-          match parse_record ~path frag with
-          | r -> apply frag r
-          | exception Error.Error _ -> ())
-      | _ -> ());
       let discarded = List.length !pend_lines in
       {
         p_tag;
@@ -497,6 +492,7 @@ type stepper = {
 type step_result = [ `Stepped of int | `Done of Tune.result ]
 
 let start ?pool t =
+  Tir_obs.Trace.with_span "session.start" @@ fun () ->
   match t.s_done with
   | Some d ->
       let r = reconstruct_result t d in

@@ -24,10 +24,14 @@
     generation: {!resume} discards them (the generation re-runs
     bit-identically) and compacts the log atomically (write temporary,
     rename) so stale records never accumulate. A torn trailing line —
-    crash mid-append, no final newline — is salvaged if it parses and
-    silently dropped otherwise; newline-terminated garbage raises
-    [Corrupt]. Floats are serialized in hex ([%h]) so every latency
-    round-trips exactly.
+    crash mid-append, no final newline — is dropped without being
+    parsed (counted in [wal.torn_tail]): a record cut inside a field or
+    an escape could parse as a different one. That is safe, because a
+    torn record belongs to an uncommitted generation, which re-runs
+    bit-identically, or is the [done] record, which the next step
+    appends again. Newline-terminated garbage, a malformed percent
+    escape included, raises [Corrupt]. Floats are serialized in hex
+    ([%h]) so every latency round-trips exactly.
 
     The [model] meta field is the escaped [Tir_autosched.Model.spec_to_string]
     of the session's cost-model spec — a [Warm] spec embeds the full
@@ -36,7 +40,7 @@
 
     Metrics: [session.resumes], [session.generations],
     [session.discarded], [session.compactions]; trace spans
-    [session.run], [session.resume]. *)
+    [session.run], [session.resume], [session.start]. *)
 
 module W = Tir_workloads.Workloads
 module Tune = Tir_autosched.Tune

@@ -48,26 +48,9 @@ let close w =
 let read ~path =
   if not (Sys.file_exists path) then ([], None)
   else begin
-    let content = Tir_core.File.read path in
-    let len = String.length content in
-    if len = 0 then ([], None)
-    else begin
-      let complete = content.[len - 1] = '\n' in
-      let lines = String.split_on_char '\n' content in
-      (* split_on_char leaves a trailing "" for a terminated file, or the
-         torn fragment otherwise. *)
-      let rec split_tail acc = function
-        | [] -> (List.rev acc, None)
-        | [ last ] ->
-            if complete then ((* last = "" *) List.rev acc, None)
-            else begin
-              Metrics.incr m_torn;
-              (List.rev acc, Some last)
-            end
-        | l :: rest -> split_tail (l :: acc) rest
-      in
-      split_tail [] lines
-    end
+    let records, torn = Tir_core.File.read_lines path in
+    if torn <> None then Metrics.incr m_torn;
+    (records, torn)
   end
 
 let rewrite ~path records =

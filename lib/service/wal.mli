@@ -4,7 +4,8 @@
     A WAL is a plain text file of newline-terminated records. Appends are
     flushed per record, so after a crash the file holds every record that
     was ever acknowledged plus at most one torn (newline-less) tail, which
-    {!read} hands back separately for the caller to salvage or drop.
+    {!read} hands back separately ([Tir_core.File.read_lines]); the
+    session layer drops it unparsed.
     {!rewrite} replaces the whole file atomically (write to a temporary,
     then rename), which is how snapshots/compaction discard stale records
     without a window where the log is missing or half-written.

@@ -199,6 +199,83 @@ let test_load_missing_file () =
   let db = DB.load "/nonexistent/path/db.txt" in
   Alcotest.(check int) "empty" 0 (DB.size db)
 
+(* --- appending to the file a database was loaded from ---------------- *)
+
+let records_of n =
+  List.init n (fun i ->
+      mk_record
+        ~workload:(Printf.sprintf "w%d" i)
+        ~decisions:[ ("a", i); ("b|c", 2) ]
+        ~trace:sample_trace
+        (10.0 +. float_of_int i))
+
+let torn_dropped () =
+  Tir_obs.Metrics.counter_value (Tir_obs.Metrics.counter "db.torn_dropped")
+
+let test_save_appends_as_full_rewrite () =
+  let path = Filename.temp_file "tirdb" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let rs = records_of 5 in
+  let db = DB.create () in
+  List.iteri (fun i r -> if i < 2 then DB.add db r) rs;
+  DB.save db path;
+  DB.add db (List.nth rs 2);
+  DB.save db path;
+  Alcotest.(check string) "append = full rewrite"
+    (Util.database_text (List.filteri (fun i _ -> i < 3) rs))
+    (Util.read_file path);
+  (* Loaded and saved back with nothing new: the file is not replaced. *)
+  let db = DB.load path in
+  let inode () = (Unix.stat path).Unix.st_ino in
+  let before = inode () in
+  DB.save db path;
+  Alcotest.(check int) "nothing new, nothing written" before (inode ());
+  DB.add db (List.nth rs 3);
+  DB.add db (List.nth rs 4);
+  DB.save db path;
+  Alcotest.(check int) "appended in place" before (inode ());
+  Alcotest.(check string) "loaded, then appended = full rewrite"
+    (Util.database_text rs) (Util.read_file path);
+  (* A file that changed under the database is rewritten, not appended
+     to. *)
+  Sys.remove path;
+  DB.save db path;
+  Alcotest.(check string) "deleted file rewritten" (Util.database_text rs)
+    (Util.read_file path);
+  Util.write_file path (Util.read_file path ^ "# appended elsewhere\n");
+  DB.save db path;
+  Alcotest.(check string) "grown file rewritten" (Util.database_text rs)
+    (Util.read_file path);
+  (* A file spelled differently is rewritten whole, once. *)
+  Util.write_file path
+    (String.concat ""
+       [ "# tensorir database v2\n"; "# a comment\n";
+         DB.record_to_line (List.hd rs) ^ "\n" ]);
+  let db = DB.load path in
+  DB.add db (List.nth rs 1);
+  DB.save db path;
+  Alcotest.(check string) "foreign file rewritten"
+    (Util.database_text (List.filteri (fun i _ -> i < 2) rs))
+    (Util.read_file path)
+
+(* A torn final line is dropped unparsed, even a whole record that lacks
+   only its newline, and the next save does not glue onto it. *)
+let test_torn_record_dropped () =
+  let path = Filename.temp_file "tirdb" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let rs = records_of 3 in
+  Util.write_file path
+    (Util.database_text [ List.nth rs 0 ] ^ DB.record_to_line (List.nth rs 1));
+  let dropped = torn_dropped () in
+  let db = DB.load path in
+  Alcotest.(check int) "complete records only" 1 (DB.size db);
+  Alcotest.(check int) "torn line counted" (dropped + 1) (torn_dropped ());
+  DB.add db (List.nth rs 2);
+  DB.save db path;
+  Alcotest.(check string) "rewritten whole"
+    (Util.database_text [ List.nth rs 0; List.nth rs 2 ])
+    (Util.read_file path)
+
 let suite =
   [
     ("commit and find", `Quick, test_commit_and_find);
@@ -211,4 +288,6 @@ let suite =
     ("trace-only replay matches tuned latency", `Quick, test_trace_only_replay);
     ("traceless record needs sketches", `Quick, test_v1_record_falls_back_to_sketch);
     ("missing file loads empty", `Quick, test_load_missing_file);
+    ("save appends as a full rewrite would", `Quick, test_save_appends_as_full_rewrite);
+    ("torn record dropped unparsed", `Quick, test_torn_record_dropped);
   ]

@@ -507,6 +507,101 @@ let test_merged_model_saves_samples_only () =
   Alcotest.(check int) "a fit at the first score" 1 (fits ());
   Alcotest.(check bool) "then saves its ensemble" true (has_ensemble (Model.save merged))
 
+(* --- the store appends ------------------------------------------------ *)
+
+let samples_model ?(group = "A") ?(f1 = 0.0) lo hi =
+  let m = Model.gbdt () in
+  for i = lo to hi do
+    let x = float_of_int i in
+    Model.add m ~group ~features:(feat ~f1 x) ~latency_us:(100.0 /. x)
+  done;
+  m
+
+(* [Store.absorb] gives the merge and the file the read-merge-rewrite
+   absorb gave, from every kind of starting file; a second absorb into a
+   file it wrote appends in place. *)
+let test_store_absorb_as_rewrite () =
+  with_tmp_dir @@ fun dir ->
+  let untrained m = Model.save (Model.load (Model.save m)) in
+  let over_cap = samples_model 1 520 in
+  let starts =
+    [
+      ("missing", None);
+      ("trained save", Some (Model.save (trained_model ())));
+      ("untrained save", Some (untrained (samples_model 1 10)));
+      ( "duplicate lines",
+        Some
+          (let t = untrained (samples_model 1 4) in
+           t ^ List.nth (String.split_on_char '\n' t) 2 ^ "\n") );
+      ( "other spellings",
+        Some
+          (untrained (samples_model 1 3)
+          ^ "\nsample|A|50.0|" ^ String.concat "," (List.init dim (fun _ -> "0"))
+          ^ "\n") );
+      ( "past the cap",
+        Some
+          (untrained over_cap ^ "sample|A|0x1p+0|"
+          ^ String.concat "," (List.init dim (fun _ -> "0x0p+0"))
+          ^ "\n") );
+      ("not a store", Some "garbage\n");
+    ]
+  in
+  List.iter
+    (fun (name, start) ->
+      let p1 = Filename.concat dir "absorb.txt"
+      and p2 = Filename.concat dir "rewrite.txt" in
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ p1; p2 ];
+      Option.iter
+        (fun text ->
+          Util.write_file p1 text;
+          Util.write_file p2 text)
+        start;
+      let step what m =
+        let got = Model.Store.absorb ~path:p1 m
+        and want = Util.rewrite_absorb ~path:p2 m in
+        Alcotest.(check string) (name ^ ": " ^ what ^ " merge") (Model.save want)
+          (Model.save got);
+        Alcotest.(check string) (name ^ ": " ^ what ^ " file") (Util.read_file p2)
+          (Util.read_file p1)
+      in
+      step "first" (samples_model 3 12);
+      let inode = (Unix.stat p1).Unix.st_ino in
+      step "second" (samples_model ~group:"C" ~f1:1.0 5 9);
+      step "nothing new" (samples_model 3 5);
+      Alcotest.(check int) (name ^ ": appended in place") inode (Unix.stat p1).Unix.st_ino)
+    starts
+
+(* One read serves the warm start and the appends; a torn sample line is
+   dropped unparsed, counted, and never glued onto. *)
+let test_store_torn_tail_dropped () =
+  with_tmp_dir @@ fun dir ->
+  let path = Filename.concat dir "model.txt" and reference = Filename.concat dir "ref.txt" in
+  ignore (Util.rewrite_absorb ~path:reference (samples_model 1 10));
+  let complete = Util.read_file reference in
+  let torn = List.nth (String.split_on_char '\n' complete) 3 in
+  Util.write_file path (complete ^ String.sub torn 0 (String.length torn / 2));
+  let counter = Tir_obs.Metrics.counter "db.torn_dropped" in
+  let dropped = Tir_obs.Metrics.counter_value counter in
+  let store = Model.Store.open_ path in
+  Alcotest.(check int) "torn line counted" (dropped + 1)
+    (Tir_obs.Metrics.counter_value counter);
+  (match (Model.Store.fit store, Model.Store.load reference) with
+  | Some warm, Some want ->
+      Alcotest.(check string) "warm fit = load of the complete lines" (Model.save want)
+        (Model.save warm)
+  | _ -> Alcotest.fail "store did not load");
+  let m = samples_model ~group:"B" 1 5 in
+  Model.Store.add store m;
+  ignore (Util.rewrite_absorb ~path:reference m);
+  Alcotest.(check string) "rewritten whole" (Util.read_file reference) (Util.read_file path);
+  (* A file deleted under the handle is rewritten, not appended to. *)
+  Sys.remove path;
+  let m = samples_model ~group:"D" 1 3 in
+  Model.Store.add store m;
+  ignore (Util.rewrite_absorb ~path:reference m);
+  Alcotest.(check string) "deleted file rewritten" (Util.read_file reference)
+    (Util.read_file path)
+
 let suite =
   [
     Alcotest.test_case "monotone data: spearman > 0.9" `Quick
@@ -538,4 +633,8 @@ let suite =
       test_save_fits_added_samples;
     Alcotest.test_case "fit on read: store merge saves samples only" `Quick
       test_merged_model_saves_samples_only;
+    Alcotest.test_case "store: absorb = read, merge, rewrite" `Quick
+      test_store_absorb_as_rewrite;
+    Alcotest.test_case "store: torn sample line dropped" `Quick
+      test_store_torn_tail_dropped;
   ]

@@ -217,6 +217,57 @@ let test_tune_determinism () =
     (Tir_autosched.Evolutionary.cache_hit_rate r4'.Tune.stats
     > Tir_autosched.Evolutionary.cache_hit_rate r4.Tune.stats)
 
+(* [alongside] runs exactly once per non-empty region, on the calling
+   domain, is not a task, and what it raises comes back after every task
+   ran. *)
+let alongside_contract ~jobs () =
+  with_pool jobs (fun pool ->
+      let module Metrics = Tir_obs.Metrics in
+      let tasks () = Metrics.counter_value (Metrics.counter "pool.tasks") in
+      let regions () = Metrics.counter_value (Metrics.counter "pool.regions") in
+      let caller = Domain.self () in
+      let runs = ref 0 and elsewhere = ref 0 in
+      let alongside () =
+        incr runs;
+        if Domain.self () <> caller then incr elsewhere
+      in
+      let t0 = tasks () and r0 = regions () in
+      let out = Pool.parallel_map ~alongside pool (fun i -> i * 3) (Array.init 200 Fun.id) in
+      Alcotest.(check (array int)) "tasks unaffected" (Array.init 200 (fun i -> i * 3)) out;
+      Alcotest.(check int) "runs once" 1 !runs;
+      Alcotest.(check int) "on the calling domain" 0 !elsewhere;
+      Alcotest.(check int) "not a task" (t0 + 200) (tasks ());
+      Alcotest.(check int) "one region" (r0 + 1) (regions ());
+      ignore (Pool.parallel_map_list ~alongside pool Fun.id []);
+      Alcotest.(check int) "an empty region runs nothing" 1 !runs;
+      ignore (Pool.parallel_map_list ~alongside pool Fun.id [ 1 ]);
+      Alcotest.(check int) "a one-task region runs it" 2 !runs;
+      let ran = Atomic.make 0 in
+      (match
+         Pool.parallel_iteri
+           ~alongside:(fun () -> failwith "alongside")
+           pool 64
+           (fun i ->
+             Atomic.incr ran;
+             if i = 5 then failwith "task")
+       with
+      | () -> Alcotest.fail "alongside's exception was lost"
+      | exception Failure m ->
+          Alcotest.(check string) "alongside's exception wins" "alongside" m);
+      Alcotest.(check bool) "raised after the tasks ran" true
+        (Atomic.get ran = if jobs = 1 then 6 else 64))
+
+let test_alongside_jobs1 () = alongside_contract ~jobs:1 ()
+let test_alongside_jobs4 () = alongside_contract ~jobs:4 ()
+
+let test_global_per_size () =
+  Alcotest.(check bool) "one pool per size" true
+    (Pool.global ~jobs:3 () == Pool.global ~jobs:3 ());
+  Alcotest.(check int) "of that size" 3 (Pool.jobs (Pool.global ~jobs:3 ()));
+  Alcotest.(check bool) "sizes differ" true
+    (Pool.global ~jobs:3 () != Pool.global ~jobs:1 ());
+  Alcotest.(check int) "default size" (Pool.default_jobs ()) (Pool.jobs (Pool.global ()))
+
 let test_default_jobs_env () =
   Alcotest.(check bool) "default_jobs positive" true (Pool.default_jobs () >= 1)
 
@@ -237,4 +288,9 @@ let suite =
       test_memo_failed_compute_retries;
     Alcotest.test_case "tune: jobs=1 = jobs=4 (determinism)" `Slow test_tune_determinism;
     Alcotest.test_case "pool: default_jobs" `Quick test_default_jobs_env;
+    Alcotest.test_case "pool: alongside (jobs=1)" `Quick
+      test_alongside_jobs1;
+    Alcotest.test_case "pool: alongside (jobs=4)" `Quick
+      test_alongside_jobs4;
+    Alcotest.test_case "pool: one global pool per size" `Quick test_global_per_size;
   ]

@@ -481,6 +481,164 @@ let test_serve_completes_and_dead_letters () =
         "replayed trace identical"
         (List.assoc_opt "trace" r1) (List.assoc_opt "trace" r2))
 
+(* --- the shared files: appended, equal to the old full rewrites ------- *)
+
+module Model = Tir_autosched.Model
+module Database = Tir_autosched.Database
+
+let job ?(target = "gpu") ?(trials = 6) name workload seed =
+  {
+    Jobqueue.j_name = name;
+    j_workload = workload;
+    j_target = target;
+    j_seed = seed;
+    j_trials = trials;
+    j_priority = 1;
+  }
+
+(* The reference queue files: every search completion re-renders the
+   whole database and rewrites the store by read, merge and rewrite, as
+   the server did before it appended. A search's model and best are
+   those of a standalone run warm-started from the store the server
+   read. *)
+type reference = { store : string; mutable records : Database.record list }
+
+let complete_search rf (j : Jobqueue.job) =
+  let target, w = Jobqueue.resolve ~name:j.Jobqueue.j_name j in
+  let spec =
+    match Model.Store.load rf.store with
+    | Some m -> Model.Warm (Model.save m)
+    | None -> Model.Gbdt
+  in
+  fresh ();
+  let r =
+    Tune.run
+      Tune.Config.(
+        default |> with_seed j.Jobqueue.j_seed |> with_trials j.Jobqueue.j_trials
+        |> with_model spec)
+      w target
+  in
+  let b = match r.Tune.best with Some b -> b | None -> Alcotest.fail "no best" in
+  rf.records <-
+    rf.records
+    @ [
+        {
+          Database.target_name = target.Tir_sim.Target.name;
+          workload_name = w.W.name;
+          sketch_name = b.Evo.sketch_name;
+          base = b.Evo.base;
+          decisions = b.Evo.decisions;
+          latency_us = b.Evo.latency_us;
+          trace = Some b.Evo.trace;
+        };
+      ];
+  ignore (Util.rewrite_absorb ~path:rf.store (Option.get r.Tune.model))
+
+let check_files ~what q rf =
+  Alcotest.(check string) (what ^ ": db.txt = full rewrite")
+    (Util.database_text rf.records)
+    (Util.read_file (Jobqueue.db_file q));
+  Alcotest.(check string) (what ^ ": model.txt = read, merge, rewrite")
+    (Util.read_file rf.store)
+    (Util.read_file (Jobqueue.model_file q))
+
+let serve_drain ?max_steps q =
+  fresh ();
+  Jobqueue.serve { (Jobqueue.default_config q) with Jobqueue.jobs = Some 2; max_steps }
+
+(* Three waves into one queue — searches, a database replay and a cut
+   wave adopted by the next serve: after each serve, db.txt and
+   model.txt hold what rewriting them at every completion held. *)
+let test_serve_appends_as_rewrite () =
+  let q = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf q) @@ fun () ->
+  let rf = { store = Filename.concat q "reference-model.txt"; records = [] } in
+  let a = job "a-gmm" "GMM" 3 in
+  ignore (Jobqueue.submit ~queue:q a);
+  Alcotest.(check int) "wave 1 done" 1 (serve_drain q).Jobqueue.o_completed;
+  complete_search rf a;
+  check_files ~what:"wave 1" q rf;
+  let b = job "b-c1d" "C1D" 5 and c = job "c-gmm-again" "GMM" 9 in
+  ignore (Jobqueue.submit ~queue:q b);
+  ignore (Jobqueue.submit ~queue:q c);
+  let replayed = Metrics.counter_value (Metrics.counter "db.replayed") in
+  Alcotest.(check int) "wave 2 done" 2 (serve_drain q).Jobqueue.o_completed;
+  Alcotest.(check int) "one replay" (replayed + 1)
+    (Metrics.counter_value (Metrics.counter "db.replayed"));
+  complete_search rf b;
+  check_files ~what:"wave 2" q rf;
+  let d = job ~trials:20 "d-c2d" "C2D" 7 in
+  ignore (Jobqueue.submit ~queue:q d);
+  Alcotest.(check bool) "cut" true (serve_drain ~max_steps:1 q).Jobqueue.o_budget;
+  check_files ~what:"cut wave" q rf;
+  Alcotest.(check int) "adopted and done" 1 (serve_drain q).Jobqueue.o_completed;
+  complete_search rf d;
+  check_files ~what:"adopted wave" q rf
+
+(* Half a record at the end of db.txt and half a sample line at the end
+   of model.txt: the next serve keeps every complete line, counts both
+   fragments and rewrites each file whole at its first write. *)
+let test_serve_drops_torn_tails () =
+  let q = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf q) @@ fun () ->
+  let rf = { store = Filename.concat q "reference-model.txt"; records = [] } in
+  let a = job "a-gmm" "GMM" 3 in
+  ignore (Jobqueue.submit ~queue:q a);
+  ignore (serve_drain q);
+  complete_search rf a;
+  let half path n =
+    let text = Util.read_file path in
+    let line = List.nth (String.split_on_char '\n' text) n in
+    Util.write_file path (text ^ String.sub line 0 (String.length line / 2))
+  in
+  half (Jobqueue.db_file q) 1;
+  half (Jobqueue.model_file q) 1;
+  let counter = Metrics.counter "db.torn_dropped" in
+  let dropped = Metrics.counter_value counter in
+  let b = job "b-c1d" "C1D" 5 in
+  ignore (Jobqueue.submit ~queue:q b);
+  Alcotest.(check int) "done" 1 (serve_drain q).Jobqueue.o_completed;
+  Alcotest.(check int) "both fragments counted" (dropped + 2)
+    (Metrics.counter_value counter);
+  complete_search rf b;
+  check_files ~what:"after the torn tails" q rf
+
+(* A malformed percent escape in a job file is that job's parse error,
+   never the server's. *)
+let test_bad_escape_dead_letters () =
+  let q = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf q) @@ fun () ->
+  ignore (Jobqueue.submit ~queue:q (job "good" "GMM" 3));
+  Jobqueue.ensure_queue q;
+  Util.write_file (Jobqueue.job_file q Jobqueue.Pending "escape") "workload=GMM%4\n";
+  let o = serve_drain q in
+  Alcotest.(check int) "good job done" 1 o.Jobqueue.o_completed;
+  Alcotest.(check int) "bad job dead-lettered" 1 o.Jobqueue.o_failed;
+  Alcotest.(check (option (of_pp Fmt.nop))) "in failed/" (Some Jobqueue.Failed)
+    (Jobqueue.find_job q "escape");
+  let diag = Jobqueue.read_error ~queue:q ~name:"escape" in
+  Alcotest.(check (option string)) "parse kind" (Some "parse") (List.assoc_opt "kind" diag);
+  Alcotest.(check (option string)) "exit code 3" (Some "3") (List.assoc_opt "exit_code" diag)
+
+(* Serve calls share one pool of their size: only the first spawns its
+   worker domains (none if the pool exists already), and no call joins
+   one. *)
+let test_serve_reuses_pool () =
+  let q = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf q) @@ fun () ->
+  (* Domain ids are handed out in spawn order: the gap between two
+     probes counts the domains spawned in between. *)
+  let probe () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  let spawned since = probe () - since - 1 in
+  ignore (Jobqueue.submit ~queue:q (job "a-gmm" "GMM" 3));
+  let p0 = probe () in
+  ignore (serve_drain q);
+  Alcotest.(check bool) "first serve: at most one pool" true (spawned p0 <= 1);
+  ignore (Jobqueue.submit ~queue:q (job "b-c1d" "C1D" 5));
+  let p1 = probe () in
+  ignore (serve_drain q);
+  Alcotest.(check int) "second serve spawns nothing" 0 (spawned p1)
+
 let suite =
   [
     ( "scheduled = standalone (jobs=1)",
@@ -501,4 +659,8 @@ let suite =
     ( "serve completes and dead-letters",
       `Quick,
       test_serve_completes_and_dead_letters );
+    ("serve appends as a full rewrite would", `Quick, test_serve_appends_as_rewrite);
+    ("serve drops torn tails of shared files", `Quick, test_serve_drops_torn_tails);
+    ("bad escape in a job dead-letters", `Quick, test_bad_escape_dead_letters);
+    ("serve calls share one pool", `Quick, test_serve_reuses_pool);
   ]

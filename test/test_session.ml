@@ -332,6 +332,86 @@ let test_corrupt_log_raises_corrupt () =
         (Error.kind_name e.Error.kind));
   Sys.remove path
 
+let append_raw path text =
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc text;
+  close_out oc
+
+(* A torn tail is dropped unparsed, even one cut inside a percent escape
+   (which does not decode) — the session stays resumable and converges. *)
+let test_torn_tail_inside_escape_dropped () =
+  let w = tiny_gmm () in
+  let cfg = Tune.Config.(default |> with_trials 32) in
+  fresh ();
+  let reference = Tune.run cfg w gpu in
+  let path = temp_wal () in
+  fresh ();
+  let s = Session.create ~path cfg w gpu in
+  (try ignore (Session.run ~halt_after:1 s) with Session.Halted _ -> ());
+  append_raw path "measure|1|s|b|0x1p+0|l39%2";
+  let st = Session.status ~path in
+  Alcotest.(check bool) "still resumable" false st.Session.completed;
+  Alcotest.(check int) "one generation committed" 1 st.Session.generations;
+  fresh ();
+  let resumed = Session.run (Session.resume ~workload:w ~path ()) in
+  Alcotest.(check string) "torn escape dropped, bit-identical"
+    (best_key reference) (best_key resumed);
+  Sys.remove path
+
+(* A [done] record torn just before an escaped newline of its trace
+   still has all its fields, and its trace field parses as a shorter
+   trace. It must be dropped, not salvaged: the resumed session appends
+   the whole record again and returns the uninterrupted run's best. *)
+let test_torn_done_record_not_salvaged () =
+  let w = tiny_gmm () in
+  let cfg = Tune.Config.(default |> with_trials 16) in
+  let path = temp_wal () in
+  fresh ();
+  let reference = Session.run (Session.create ~path cfg w gpu) in
+  let lines, _ = Wal.read ~path in
+  let done_line = List.nth lines (List.length lines - 1) in
+  let cut =
+    let rec last_nl i found =
+      match String.index_from_opt done_line i '%' with
+      | Some j when j + 2 < String.length done_line ->
+          last_nl (j + 1) (if String.sub done_line j 3 = "%0A" then Some j else found)
+      | _ -> found
+    in
+    match last_nl 0 None with
+    | Some j -> j
+    | None -> Alcotest.fail "done record has no escaped newline"
+  in
+  let torn = String.sub done_line 0 cut in
+  Wal.rewrite ~path (List.filteri (fun i _ -> i < List.length lines - 1) lines);
+  append_raw path torn;
+  fresh ();
+  let resumed = Session.run (Session.resume ~workload:w ~path ()) in
+  Alcotest.(check string) "full best trace" (best_key reference) (best_key resumed);
+  Alcotest.(check (float 0.0)) "same latency" (Tune.latency_us reference)
+    (Tune.latency_us resumed);
+  let lines', torn' = Wal.read ~path in
+  Alcotest.(check bool) "no torn tail left" true (torn' = None);
+  Alcotest.(check string) "done record appended again" done_line
+    (List.nth lines' (List.length lines' - 1));
+  Sys.remove path
+
+(* A complete WAL line with a malformed escape is corruption: [Corrupt],
+   not a stray [Failure]. *)
+let test_bad_escape_in_wal_is_corrupt () =
+  let w = tiny_gmm () in
+  let cfg = Tune.Config.(default |> with_trials 32) in
+  let path = temp_wal () in
+  fresh ();
+  let s = Session.create ~path cfg w gpu in
+  (try ignore (Session.run ~halt_after:1 s) with Session.Halted _ -> ());
+  append_raw path "measure|1|s|b|0x1p+0|l0%2\n";
+  (match Session.resume ~workload:w ~path () with
+  | _ -> Alcotest.fail "malformed escape resumed"
+  | exception Error.Error e ->
+      Alcotest.(check string) "corrupt kind" "corrupt" (Error.kind_name e.Error.kind);
+      Alcotest.(check (option string)) "names the log" (Some path) e.Error.context);
+  Sys.remove path
+
 (* --- fault injection ------------------------------------------------- *)
 
 (* Injected failures are keyed hashes of (seed, site, content), so the
@@ -435,6 +515,9 @@ let suite =
     ("resume drops torn write", `Quick, test_resume_discards_torn_write);
     ("resume discards uncommitted records", `Quick, test_resume_discards_uncommitted_records);
     ("corrupt log raises Corrupt", `Quick, test_corrupt_log_raises_corrupt);
+    ("torn tail inside an escape is dropped", `Quick, test_torn_tail_inside_escape_dropped);
+    ("torn done record is not salvaged", `Quick, test_torn_done_record_not_salvaged);
+    ("malformed escape in a WAL line is Corrupt", `Quick, test_bad_escape_in_wal_is_corrupt);
     ("fault injection deterministic across jobs", `Quick, test_fault_injection_deterministic_across_jobs);
     ("TIR_FAULTS parsing", `Quick, test_fault_env_parse);
     ("retry exhaustion never commits", `Quick, test_retry_exhaustion_never_commits);

@@ -124,3 +124,45 @@ let sketch_programs () =
             sketches)
         [ "GMM"; "C1D"; "C2D"; "C3D"; "DEP"; "DIL"; "GRP"; "T2D" ])
     [ Tir_sim.Target.gpu_tensorcore; Tir_sim.Target.arm_sdot ]
+
+(* --- the shared files' old writers, kept as references ----------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* [Database.save] as a full rewrite: the version header and every
+   record's line, in insertion order. *)
+let database_text (records : Tir_autosched.Database.record list) =
+  String.concat ""
+    ("# tensorir database v2\n"
+    :: List.map (fun r -> Tir_autosched.Database.record_to_line r ^ "\n") records)
+
+(* [Model.Store.absorb] as it was before the store appended: read the
+   whole store (a missing or unparseable file is empty), merge [model]'s
+   samples under exact dedup, rewrite the whole file untrained, return
+   the merge. *)
+let rewrite_absorb ~path (model : Tir_autosched.Model.t) =
+  let module Model = Tir_autosched.Model in
+  let key ~group ~features ~latency_us =
+    String.concat "|"
+      (group :: Printf.sprintf "%h" latency_us
+      :: Array.to_list (Array.map (Printf.sprintf "%h") features))
+  in
+  let seen = Hashtbl.create 256 and merged = Model.gbdt () in
+  (if Sys.file_exists path then
+     match Model.load (read_file path) with
+     | stored ->
+         Model.iter_samples stored (fun ~group ~features ~latency_us ->
+             Hashtbl.replace seen (key ~group ~features ~latency_us) ();
+             Model.add merged ~group ~features ~latency_us)
+     | exception Model.Parse_error _ -> ());
+  Model.iter_samples model (fun ~group ~features ~latency_us ->
+      let k = key ~group ~features ~latency_us in
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.replace seen k ();
+        Model.add merged ~group ~features ~latency_us
+      end);
+  write_file path (Model.save merged);
+  merged
